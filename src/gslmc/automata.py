@@ -2,8 +2,7 @@
 
 An automaton runs on full Delta-branching Sigma-labeled trees.  Transition
 formulas are positive Boolean formulas over moves (direction, state); states
-are integers 0..n-1; acceptance is a min-parity priority function, with the
-chain representation (F_1 <= ... <= F_k) available for I/O.
+are integers 0..n-1; acceptance is a min-parity priority function.
 
 Trees are presented by finite generators (RegularTree): a total transducer
 assigning every node a letter and a child node per direction.
@@ -31,7 +30,6 @@ class Apt:
         return self.trans[(q, letter)]
 
     def check(self):
-        letters = set(self.alphabet)
         for q in range(self.n_states):
             if q not in self.priority:
                 raise ValueError(f"state {q} has no priority")
@@ -42,7 +40,6 @@ class Apt:
                 for d, q2 in pb.atoms(f):
                     if d not in self.directions or not (0 <= q2 < self.n_states):
                         raise ValueError(f"bad move ({d!r}, {q2}) in delta({q}, {a!r})")
-        del letters
         return self
 
     def max_priority(self):
@@ -58,42 +55,6 @@ def accept_all(alphabet, directions):
 def reject_all(alphabet, directions):
     trans = {(0, a): pb.FALSE for a in alphabet}
     return Apt(tuple(alphabet), tuple(directions), 1, 0, trans, {0: 0})
-
-
-# ---------------------------------------------------------------------------
-# priority <-> chain conversion
-
-
-def priorities_to_chain(priority, n_states):
-    """Chain (F_1, ..., F_k) with F_i = states of priority <= i.
-
-    Priorities are first shifted by the even offset that makes the least
-    value land on 1 or 2, so the chain indexes from 1.
-    """
-    vals = [priority[q] for q in range(n_states)]
-    lo = min(vals)
-    shift = lo - (1 if lo % 2 == 1 else 2)
-    shifted = [v - shift for v in vals]
-    k = max(shifted)
-    chain = []
-    for i in range(1, k + 1):
-        chain.append(frozenset(q for q in range(n_states) if shifted[q] <= i))
-    return tuple(chain)
-
-
-def chain_to_priorities(chain):
-    """Priority of q = least chain index containing it."""
-    n = len(chain[-1])
-    priority = {}
-    for q in range(max((max(f, default=-1) for f in chain), default=-1) + 1):
-        for i, f in enumerate(chain, start=1):
-            if q in f:
-                priority[q] = i
-                break
-        else:
-            raise ValueError(f"state {q} missing from the last chain element")
-    del n
-    return priority
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line front-end: check, info, gen, oracle.
 
 Exit codes: 0 holds / oracle true, 1 fails / oracle false, 2 parse or usage
-error, 3 model validation error, 4 unsupported grade or resource budget,
-5 oracle verdict is only a lower bound and --require-exact was given.
+error, 3 model validation error, 4 unsupported grade, resource budget or out
+of memory, 5 oracle verdict is only a lower bound and --require-exact was
+given, 6 internal error (a defect of the checker, never a verdict).
 """
 
 import argparse
@@ -31,6 +32,7 @@ EXIT_USAGE = 2
 EXIT_MODEL = 3
 EXIT_UNSUPPORTED = 4
 EXIT_INEXACT = 5
+EXIT_INTERNAL = 6
 
 
 def _load_model(path):
@@ -288,6 +290,14 @@ def main(argv=None):
     except GslError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except Exception as e:
+        # anything else is a defect; exit 1 would read as FAILS
+        detail = str(e).splitlines()[0] if str(e) else ""
+        print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,12 +5,23 @@ priority occurring infinitely often is even.  Dead ends are resolved at
 construction time: a vertex with no successor loses for its owner, realized
 as a self-loop whose priority has the owner's losing parity.
 
-The attractor computation is the hot inner loop of the recursive solver.  It
-runs over CSR arrays, either through a numba-compiled kernel or through a
-vectorized numpy fallback; set GSLMC_DISABLE_NUMBA=1 to force the fallback.
+A game is stored as two CSR arrays (successors and predecessors), built with
+numpy.  The attractor is a level-synchronous frontier loop over them: each
+round gathers the predecessors of the vertices attracted in the previous
+round, so a call costs O(V + E) however long the attractor's chains are.
+An attracted vertex of the player points at the frontier vertex it was
+reached through, so its attractor rank strictly decreases along the
+strategy.
+
+Zielonka's algorithm runs on an explicit stack over one shared subgame mask.
+A frame removes the attractor it splits off from the mask and keeps only the
+indices of those vertices and their attractor strategy; it puts them back
+when the subgame below it is solved.  The sets removed along the stack are
+disjoint, so the stack holds O(n) entries at any depth, and the depth is
+bounded by memory, not by Python's recursion limit.
 """
 
-import os
+from itertools import chain
 
 import numpy as np
 
@@ -19,114 +30,22 @@ from gslmc.errors import ResourceBudgetError
 VERIFIER = 0
 REFUTER = 1
 
-_USE_NUMBA = os.environ.get("GSLMC_DISABLE_NUMBA", "") not in ("1", "true", "yes")
 
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
+def _gather(ptr, dat, vs):
+    """Concatenated CSR rows of the vertices vs, and each row's length."""
+    starts = ptr[vs]
+    lens = ptr[vs + 1] - starts
+    ends = lens.cumsum()
+    offsets = ends - lens  # where each row lands in the output
+    idx = np.arange(ends[-1] if ends.size else 0) + (starts - offsets).repeat(lens)
+    return dat[idx], lens
 
-if _USE_NUMBA:
 
-    @njit(cache=True)
-    def _attract_kernel(owner, sub, seed, pred_ptr, pred_dat, succ_ptr, succ_dat, player):
-        n = owner.shape[0]
-        in_attr = np.zeros(n, dtype=np.bool_)
-        level = np.full(n, -1, dtype=np.int64)
-        # out-degree within sub, counted down for opponent vertices
-        cnt = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            if sub[v]:
-                c = 0
-                for k in range(succ_ptr[v], succ_ptr[v + 1]):
-                    if sub[succ_dat[k]]:
-                        c += 1
-                cnt[v] = c
-        queue = np.empty(n, dtype=np.int64)
-        head = 0
-        tail = 0
-        strat = np.full(n, -1, dtype=np.int64)
-        for v in range(n):
-            if sub[v] and seed[v]:
-                in_attr[v] = True
-                level[v] = 0
-                queue[tail] = v
-                tail += 1
-        while head < tail:
-            w = queue[head]
-            head += 1
-            for k in range(pred_ptr[w], pred_ptr[w + 1]):
-                v = pred_dat[k]
-                if not sub[v] or in_attr[v]:
-                    continue
-                if owner[v] == player:
-                    in_attr[v] = True
-                    level[v] = level[w] + 1
-                    strat[v] = w
-                    queue[tail] = v
-                    tail += 1
-                else:
-                    cnt[v] -= 1
-                    if cnt[v] == 0:
-                        in_attr[v] = True
-                        level[v] = level[w] + 1
-                        queue[tail] = v
-                        tail += 1
-        return in_attr, strat
-
-else:
-
-    def _attract_kernel(owner, sub, seed, pred_ptr, pred_dat, succ_ptr, succ_dat, player):
-        n = owner.shape[0]
-        in_attr = sub & seed
-        # successors-in-attractor counts, recomputed per round (vectorized)
-        sub_idx = np.nonzero(sub)[0]
-        while True:
-            tgt = in_attr[succ_dat] & sub[succ_dat]
-            cnt_in = np.add.reduceat(tgt, succ_ptr[:-1]) if len(succ_dat) else np.zeros(n, dtype=np.int64)
-            cnt_in = np.asarray(cnt_in, dtype=np.int64)
-            cnt_in[succ_ptr[:-1] == succ_ptr[1:]] = 0
-            sub_succ = sub[succ_dat]
-            deg = np.add.reduceat(sub_succ, succ_ptr[:-1]) if len(succ_dat) else np.zeros(n, dtype=np.int64)
-            deg = np.asarray(deg, dtype=np.int64)
-            deg[succ_ptr[:-1] == succ_ptr[1:]] = 0
-            can = (owner == player) & (cnt_in > 0)
-            must = (owner != player) & (deg > 0) & (cnt_in == deg)
-            new = sub & (can | must) & ~in_attr
-            if not new.any():
-                break
-            in_attr = in_attr | new
-        # strategy: any successor strictly closer to the seed
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[in_attr & seed] = 0
-        frontier = list(np.nonzero(in_attr & seed)[0])
-        d = 0
-        remaining = set(np.nonzero(in_attr & ~seed)[0].tolist())
-        while frontier:
-            d += 1
-            nxt = []
-            for v in list(remaining):
-                for k in range(succ_ptr[v], succ_ptr[v + 1]):
-                    w = succ_dat[k]
-                    if in_attr[w] and dist[w] == d - 1:
-                        dist[v] = d
-                        nxt.append(v)
-                        break
-            for v in nxt:
-                remaining.discard(v)
-            frontier = nxt
-        strat = np.full(n, -1, dtype=np.int64)
-        for v in np.nonzero(in_attr & (owner == player) & ~seed)[0]:
-            best = -1
-            for k in range(succ_ptr[v], succ_ptr[v + 1]):
-                w = succ_dat[k]
-                if in_attr[w] and 0 <= dist[w] < dist[v]:
-                    best = w
-                    break
-            strat[v] = best
-        del sub_idx
-        return in_attr, strat
+def _distinct(vs, stamp):
+    """One occurrence of each vertex of vs; stamp is n-sized scratch space."""
+    pos = np.arange(vs.size)
+    stamp[vs] = pos
+    return vs[stamp[vs] == pos]
 
 
 class ParityGame:
@@ -136,52 +55,71 @@ class ParityGame:
         n = len(owners)
         if len(priorities) != n or len(successors) != n:
             raise ValueError("owner/priority/successor lists must align")
-        owners = list(owners)
-        priorities = list(priorities)
-        successors = [list(s) for s in successors]
-        for v in range(n):
-            if not successors[v]:
-                # dead end: loses for its owner
-                successors[v] = [v]
-                priorities[v] = 1 if owners[v] == VERIFIER else 0
         self.n = n
-        self.owner = np.asarray(owners, dtype=np.int8)
-        self.priority = np.asarray(priorities, dtype=np.int64)
-        ptr = [0]
-        dat = []
-        for v in range(n):
-            dat.extend(successors[v])
-            ptr.append(len(dat))
-        self.succ_ptr = np.asarray(ptr, dtype=np.int64)
-        self.succ_dat = np.asarray(dat, dtype=np.int64)
-        pred = [[] for _ in range(n)]
-        for v in range(n):
-            for w in successors[v]:
-                pred[w].append(v)
-        pptr = [0]
-        pdat = []
-        for v in range(n):
-            pdat.extend(pred[v])
-            pptr.append(len(pdat))
-        self.pred_ptr = np.asarray(pptr, dtype=np.int64)
-        self.pred_dat = np.asarray(pdat, dtype=np.int64)
+        self.owner = np.array(owners, dtype=np.int8)
+        self.priority = np.array(priorities, dtype=np.int64)
+        deg = np.fromiter((len(s) for s in successors), dtype=np.int64, count=n)
+        listed = np.fromiter(chain.from_iterable(successors), dtype=np.int64, count=int(deg.sum()))
+        if listed.size and (listed.min() < 0 or listed.max() >= n):
+            raise ValueError("successor out of range")
+        # dead end: loses for its owner
+        dead = np.flatnonzero(deg == 0)
+        self.priority[dead] = np.where(self.owner[dead] == VERIFIER, 1, 0)
+        deg[dead] = 1
+        self.succ_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=self.succ_ptr[1:])
+        self.succ_dat = np.empty(int(self.succ_ptr[-1]), dtype=np.int64)
+        listed_slot = np.ones(self.succ_dat.size, dtype=bool)
+        listed_slot[self.succ_ptr[dead]] = False
+        self.succ_dat[listed_slot] = listed
+        self.succ_dat[self.succ_ptr[dead]] = dead
+        # predecessors of w in increasing source order, with multiplicity
+        order = np.argsort(self.succ_dat, kind="stable")
+        self.pred_dat = np.repeat(np.arange(n, dtype=np.int64), deg)[order]
+        self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.succ_dat, minlength=n), out=self.pred_ptr[1:])
 
     def successors_of(self, v):
         return self.succ_dat[self.succ_ptr[v] : self.succ_ptr[v + 1]].tolist()
 
     def attractor(self, player, seed_mask, sub_mask):
-        """Attractor of seed within sub for player, plus a level-decreasing
-        positional strategy on the attracted non-seed vertices."""
-        in_attr, strat = _attract_kernel(
-            self.owner,
-            np.asarray(sub_mask, dtype=bool),
-            np.asarray(seed_mask, dtype=bool),
-            self.pred_ptr,
-            self.pred_dat,
-            self.succ_ptr,
-            self.succ_dat,
-            player,
-        )
+        """Attractor of seed within sub for player, plus a rank-decreasing
+        positional strategy on the attracted non-seed vertices.
+
+        Within sub, a player vertex is attracted once one of its successors
+        is, and an opponent vertex once all its successors in sub are (and it
+        has at least one).  Returns (mask, strategy): strategy[v] is the
+        successor a non-seed player vertex v in the attractor moves to, -1
+        elsewhere.
+        """
+        sub = np.asarray(sub_mask, dtype=bool)
+        in_attr = sub & np.asarray(seed_mask, dtype=bool)
+        strat = np.full(self.n, -1, dtype=np.int64)
+        # successors in sub still outside the attractor, for the opponent
+        # vertices hit so far (-1: not hit yet)
+        left = np.full(self.n, -1, dtype=np.int32)
+        stamp = np.empty(self.n, dtype=np.int64)
+        frontier = np.flatnonzero(in_attr)
+        while frontier.size:
+            preds, lens = _gather(self.pred_ptr, self.pred_dat, frontier)
+            via = frontier.repeat(lens)
+            keep = sub[preds] & ~in_attr[preds]
+            preds = preds[keep]
+            if not preds.size:
+                break
+            mine = self.owner[preds] == player
+            won = preds[mine]
+            # any frontier vertex will do: all of them have the previous rank
+            strat[won] = via[keep][mine]
+            hit = preds[~mine]
+            fresh = _distinct(hit[left[hit] < 0], stamp)
+            if fresh.size:
+                succ, lens = _gather(self.succ_ptr, self.succ_dat, fresh)
+                row = np.arange(fresh.size).repeat(lens)
+                left[fresh] = np.bincount(row[sub[succ]], minlength=fresh.size)
+            np.subtract.at(left, hit, 1)
+            frontier = np.concatenate((_distinct(won, stamp), _distinct(hit[left[hit] == 0], stamp)))
+            in_attr[frontier] = True
         return in_attr, strat
 
     def dump(self):
@@ -191,6 +129,34 @@ class ParityGame:
             succ = " ".join(str(w) for w in self.successors_of(v))
             lines.append(f"{v} {int(self.owner[v])} {int(self.priority[v])} {succ}")
         return "\n".join(lines) + "\n"
+
+
+def _first_successors_in(game, vs, mask):
+    """For each vertex of vs, its first successor inside mask (-1 if none)."""
+    succ, lens = _gather(game.succ_ptr, game.succ_dat, vs)
+    row = np.arange(len(vs)).repeat(lens)
+    inside = mask[succ]
+    rows, first = np.unique(row[inside], return_index=True)
+    out = np.full(len(vs), -1, dtype=np.int64)
+    out[rows] = succ[inside][first]
+    return out
+
+
+class _Frame:
+    """One subgame of Zielonka's recursion on the explicit stack.
+
+    attr, attr_strat: the least-priority attractor split off the subgame
+    (vertex indices and their attractor strategy), None until it is taken.
+    removed: the solved parts cut from the subgame, put back on pop.
+    """
+
+    __slots__ = ("player", "attr", "attr_strat", "removed")
+
+    def __init__(self):
+        self.player = 0
+        self.attr = None
+        self.attr_strat = None
+        self.removed = []
 
 
 def solve_zielonka(game):
@@ -203,45 +169,56 @@ def solve_zielonka(game):
     n = game.n
     win = np.full(n, -1, dtype=np.int8)
     strat = np.full(n, -1, dtype=np.int64)
-
-    def rec(sub):
-        if not sub.any():
-            return
-        pmin = int(game.priority[sub].min())
-        player = pmin % 2
+    sub = np.ones(n, dtype=bool)  # the subgame of the top frame
+    stack = [_Frame()]
+    while stack:
+        top = stack[-1]
+        if top.attr is None:
+            if not sub.any():
+                stack.pop()
+                for idx in top.removed:
+                    sub[idx] = True
+                continue
+            pmin = int(game.priority[sub].min())
+            top.player = pmin % 2
+            attr, attr_strat = game.attractor(top.player, sub & (game.priority == pmin), sub)
+            top.attr = np.flatnonzero(attr)
+            top.attr_strat = attr_strat[top.attr]
+            sub[top.attr] = False
+            stack.append(_Frame())
+            continue
+        # the subgame minus the attractor is solved
+        player = top.player
         opp = 1 - player
-        seed = sub & (game.priority == pmin)
-        attr, attr_strat = game.attractor(player, seed, sub)
-        rest = sub & ~attr
-        rec(rest)
-        opp_rest = rest & (win == opp)
+        opp_rest = sub & (win == opp)
+        sub[top.attr] = True
         if not opp_rest.any():
-            # player wins everything in sub
+            # player wins everything in the subgame
             win[sub] = player
-            for v in np.nonzero(attr & (game.owner == player))[0]:
-                if attr_strat[v] >= 0:
-                    strat[v] = attr_strat[v]
-                else:
-                    # seed vertex: any successor staying in sub will do
-                    for w in game.successors_of(v):
-                        if sub[w]:
-                            strat[v] = w
-                            break
-            return
-        opp_attr, opp_strat = game.attractor(opp, opp_rest, sub)
-        # opponent keeps the strategy computed in the subgame, extended by
-        # the attractor strategy toward it
-        for v in np.nonzero(opp_attr & (game.owner == opp) & ~opp_rest)[0]:
-            if opp_strat[v] >= 0:
-                strat[v] = opp_strat[v]
-        win[opp_attr] = opp
-        remaining = sub & ~opp_attr
-        # recompute the rest from scratch
-        win[remaining] = -1
-        strat[remaining] = -1
-        rec(remaining)
-
-    rec(np.ones(n, dtype=bool))
+            own = game.owner[top.attr] == player
+            mine = top.attr[own]
+            moves = top.attr_strat[own]
+            # seed vertex: any successor staying in the subgame will do
+            seeds = moves < 0
+            moves[seeds] = _first_successors_in(game, mine[seeds], sub)
+            strat[mine] = moves
+            solved = sub
+        else:
+            opp_attr, opp_strat = game.attractor(opp, opp_rest, sub)
+            # opponent keeps the strategy computed in the subgame, extended by
+            # the attractor strategy toward it
+            ext = np.flatnonzero(opp_attr & (game.owner == opp) & ~opp_rest)
+            strat[ext] = opp_strat[ext]
+            win[opp_attr] = opp
+            solved = opp_attr
+        # cut what is solved; the frame goes on with what is left of its
+        # subgame, from scratch, and pops once nothing is
+        cut = np.flatnonzero(solved)
+        sub[cut] = False
+        top.removed.append(cut)
+        win[sub] = -1
+        strat[sub] = -1
+        top.attr = None
     return win, strat
 
 
@@ -318,17 +295,23 @@ def verify_strategy(game, region_mask, player, strategy):
                 return False
             edges[v] = succ
     # every cycle of the restricted graph must have min priority of the
-    # player's parity; check the negation: for each bad priority p, no cycle
-    # through a p-vertex using only priorities >= p
-    for p in sorted(set(int(game.priority[v]) for v in edges)):
-        if p % 2 == player:
-            continue
-        vset = {v for v in edges if game.priority[v] >= p}
-        sub_edges = {v: [w for w in edges[v] if w in vset] for v in vset}
-        for comp in _sccs(sorted(vset), sub_edges):
-            has_cycle = len(comp) > 1 or comp[0] in sub_edges[comp[0]]
-            if has_cycle and any(game.priority[v] == p for v in comp):
+    # player's parity.  A strongly connected component with a cycle has a
+    # closed walk through all its vertices, so its least priority q must be
+    # the player's; cycles that avoid the q-vertices lie in the components
+    # of what is left once they are removed.
+    prio = game.priority.tolist()
+    work = [sorted(edges)]
+    while work:
+        verts = work.pop()
+        vset = set(verts)
+        sub_edges = {v: [w for w in edges[v] if w in vset] for v in verts}
+        for comp in _sccs(verts, sub_edges):
+            if len(comp) == 1 and comp[0] not in sub_edges[comp[0]]:
+                continue
+            q = min(prio[v] for v in comp)
+            if q % 2 != player:
                 return False
+            work.append(sorted(v for v in comp if prio[v] != q))
     return True
 
 

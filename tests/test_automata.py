@@ -8,14 +8,12 @@ from gslmc.automata import (
     Apt,
     RegularTree,
     accept_all,
-    chain_to_priorities,
     conjoin,
     disjoin,
     distinctness_apt,
     dualize,
     is_npt,
     member,
-    priorities_to_chain,
     project,
     reject_all,
     relabel,
@@ -87,26 +85,6 @@ class TestBooleanOperations:
                 t.root,
             )
             assert member(b, t) == member(a, t0)
-
-
-class TestChainConversion:
-    def test_round_trip(self, rng):
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            lo = rng.randint(0, 2)
-            priority = {q: rng.randint(lo, lo + 3) for q in range(n)}
-            chain = priorities_to_chain(priority, n)
-            back = chain_to_priorities(chain)
-            # round-trip up to the even shift applied during normalization
-            shift = priority[0] - back[0]
-            assert shift % 2 == 0
-            assert all(priority[q] - back[q] == shift for q in range(n))
-
-    def test_chain_is_increasing(self):
-        chain = priorities_to_chain({0: 1, 1: 2, 2: 4}, 3)
-        for small, big in zip(chain, chain[1:]):
-            assert small <= big
-        assert chain[-1] == frozenset({0, 1, 2})
 
 
 class TestSimplify:

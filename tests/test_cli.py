@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from gslmc import cli
 from gslmc.cli import main
 
 from conftest import TOGGLE, SINGLE_ACTION
@@ -78,6 +79,23 @@ class TestCheckExitCodes:
         )
         code, _, err = run(capsys, "check", model, "-f", f, "--budget", "200")
         assert code == 4 and "budget" in err
+
+    def test_out_of_memory_is_four(self, capsys, toggle_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "check_sentence", exhausted)
+        code, out, err = run(capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p")
+        assert code == 4 and "memory" in err and "FAILS" not in out
+
+    def test_internal_error_is_six(self, capsys):
+        # nesting deeper than the checker's recursive walks reach is a defect,
+        # reported on one line; exit 1 would read as FAILS
+        model = os.path.join(DATA, "toggle.json")
+        code, out, err = run(capsys, "check", model, "-f", "!" * 3000 + "p")
+        assert code == cli.EXIT_INTERNAL == 6
+        assert "FAILS" not in out
+        assert err.startswith("internal error") and len(err.strip().splitlines()) == 1
 
     def test_unknown_grade_token_is_parse_error(self, capsys, toggle_path):
         code, _, _ = run(capsys, "check", toggle_path, "-f", "<<x>>^>=zz p")

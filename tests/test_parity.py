@@ -1,8 +1,7 @@
-import os
-import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from gslmc.paritygame import (
     REFUTER,
@@ -67,36 +66,117 @@ class TestAgreement:
                     assert verify_strategy(g, region, player, strat)
 
 
-class TestKernelParity:
-    def test_numba_and_numpy_attractors_agree(self, rng):
-        env = os.environ.copy()
-        script = (
-            "import random, json\n"
-            "from gslmc.paritygame import ParityGame\n"
-            "rng = random.Random(77)\n"
-            "out = []\n"
-            "for _ in range(40):\n"
-            "    n = rng.randint(1, 10)\n"
-            "    g = ParityGame([rng.randrange(2) for _ in range(n)],\n"
-            "                   [rng.randrange(4) for _ in range(n)],\n"
-            "                   [rng.sample(range(n), rng.randint(0, min(3, n)))\n"
-            "                    for _ in range(n)])\n"
-            "    seed = [False] * n\n"
-            "    seed[rng.randrange(n)] = True\n"
-            "    player = rng.randrange(2)\n"
-            "    mask, _ = g.attractor(player, seed, [True] * n)\n"
-            "    out.append([int(x) for x in mask])\n"
-            "print(json.dumps(out))\n"
-        )
-        results = {}
-        for flag in ("0", "1"):
-            env["GSLMC_DISABLE_NUMBA"] = flag
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
+def chain(n, owners, prios, forward=True):
+    """Path through n vertices ending in a self-loop: 0 -> 1 -> ... -> n-1
+    (forward) or n-1 -> ... -> 0 (backward)."""
+    if forward:
+        succs = [[v + 1] for v in range(n - 1)] + [[n - 1]]
+    else:
+        succs = [[0]] + [[v - 1] for v in range(1, n)]
+    return ParityGame(owners, prios, succs)
+
+
+def attractor_by_definition(game, player, seed, sub):
+    """Least fixpoint X = (seed & sub) | (sub & CPre_player(X)), and the round
+    in which each vertex enters it (-1 outside X).
+
+    CPre is taken within sub: a player vertex needs one successor in X, an
+    opponent vertex needs a successor in sub and all of them in X.
+    """
+    x = seed & sub
+    rank = np.where(x, 0, -1)
+    r = 0
+    while True:
+        r += 1
+        new = []
+        for v in np.flatnonzero(sub & ~x):
+            succ = [w for w in game.successors_of(v) if sub[w]]
+            if game.owner[v] == player:
+                ok = any(x[w] for w in succ)
+            else:
+                ok = bool(succ) and all(x[w] for w in succ)
+            if ok:
+                new.append(v)
+        if not new:
+            return x, rank
+        x = x.copy()
+        x[new] = True
+        rank[new] = r
+
+
+def assert_attractor_matches_definition(game, player, seed, sub):
+    attr, strat = game.attractor(player, seed, sub)
+    x, rank = attractor_by_definition(game, player, seed, sub)
+    assert list(attr) == list(x)
+    moving = x & ~seed & (game.owner == player)
+    assert list(strat >= 0) == list(moving)
+    for v in np.flatnonzero(moving):
+        w = int(strat[v])
+        assert w in game.successors_of(v)
+        assert x[w] and rank[w] < rank[v]
+
+
+class TestAttractorDefinition:
+    def test_random_games_and_subgames(self, rng):
+        for _ in range(200):
+            # successors drawn with repetition: duplicate edges count twice
+            n = rng.randint(1, 12)
+            g = ParityGame(
+                [rng.randrange(2) for _ in range(n)],
+                [0] * n,
+                [[rng.randrange(n) for _ in range(rng.randint(0, 4))] for _ in range(n)],
             )
-            results[flag] = proc.stdout.strip()
-        assert results["0"] == results["1"]
+            sub = np.array([rng.random() < 0.8 for _ in range(g.n)])
+            seed = np.array([rng.random() < 0.25 for _ in range(g.n)])
+            assert_attractor_matches_definition(g, rng.randrange(2), seed, sub)
+
+    def test_chains_of_both_orientations(self, rng):
+        n = 60
+        for forward in (True, False):
+            for _ in range(5):
+                owners = [rng.randrange(2) for _ in range(n)]
+                g = chain(n, owners, [0] * n, forward)
+                sink = n - 1 if forward else 0
+                seed = np.arange(n) == sink
+                sub = np.array([rng.random() < 0.95 for _ in range(n)])
+                sub[sink] = True
+                for player in (VERIFIER, REFUTER):
+                    assert_attractor_matches_definition(g, player, seed, np.ones(n, dtype=bool))
+                    assert_attractor_matches_definition(g, player, seed, sub)
+
+
+class TestRegressions:
+    def test_deep_head_chain_within_default_recursion_limit(self):
+        # one distinct priority per vertex: Zielonka's recursion is n deep
+        n = 3000
+        assert sys.getrecursionlimit() < n
+        rng = np.random.default_rng(3)
+        g = chain(n, rng.integers(2, size=n).tolist(), list(range(n)))
+        win, strat = solve_zielonka(g)
+        assert (win == REFUTER).all()  # the sink's loop has odd priority n-1
+        for player in (VERIFIER, REFUTER):
+            assert verify_strategy(g, win == player, player, strat)
+
+    def test_strategies_verify_on_random_degree_4_games(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = 300
+            g = ParityGame(
+                rng.integers(2, size=n).tolist(),
+                rng.integers(4, size=n).tolist(),
+                rng.integers(n, size=(n, 4)).tolist(),
+            )
+            win, strat = solve_zielonka(g)
+            for player in (VERIFIER, REFUTER):
+                assert verify_strategy(g, win == player, player, strat), seed
+
+    def test_dump_with_dead_ends_and_duplicate_successors(self):
+        g = ParityGame([VERIFIER, REFUTER, VERIFIER, REFUTER], [2, 3, 4, 5], [[1, 1, 2], [], [], [0, 3, 0]])
+        assert g.dump() == "0 0 2 1 1 2\n1 1 0 1\n2 0 1 2\n3 1 5 0 3 0\n"
+        assert g.pred_dat.tolist() == [3, 3, 0, 0, 1, 0, 2, 3]
+        assert g.pred_ptr.tolist() == [0, 2, 5, 7, 8]
+
+    def test_successor_out_of_range_rejected(self):
+        for bad in (2, -1):
+            with pytest.raises(ValueError):
+                ParityGame([VERIFIER, REFUTER], [0, 1], [[1], [bad]])
