@@ -16,7 +16,7 @@ All word automata here run over "edge relations": the sets of state pairs
 induced along one direction by the chosen transition models.
 """
 
-from itertools import product
+from itertools import chain
 
 from gslmc import posbool as pb
 from gslmc.automata import Apt, is_npt, simplify
@@ -197,35 +197,6 @@ def iar_step(perm, marked, present):
 
 
 # ---------------------------------------------------------------------------
-# the full word automaton, explored lazily
-
-
-class TraceMonitor:
-    """Deterministic parity word automaton over edge relations.
-
-    Accepts (min-parity even) exactly when every trace through the word is
-    good; built as the complement of the determinized bad-trace automaton.
-    States are (safra tree, appearance record) pairs; the priority emitted
-    by a step is already complemented (shifted by one).
-    """
-
-    def __init__(self, apt_priority, names):
-        self.nbw = BadTraceNbw(apt_priority)
-        self.names = tuple(names)
-
-    def initial(self, q):
-        tree = safra_initial(self.nbw.initial(q))
-        return (tree, self.names)
-
-    def step(self, state, edges):
-        tree, perm = state
-        tree2 = safra_step(tree, edges, self.nbw)
-        marked, present = safra_hits(tree2)
-        perm2, prio = iar_step(perm, marked, present)
-        return (tree2, perm2), prio + 1
-
-
-# ---------------------------------------------------------------------------
 # alternation removal
 
 
@@ -233,110 +204,148 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     """Equivalent nondeterministic parity tree automaton.
 
     Already-nondeterministic inputs pass through (after simplification).
-    Raises ResourceBudgetError when the construction exceeds `budget`
-    states.
+    Raises ResourceBudgetError, besides simplify's own state-budget stop,
+    when
+      - one (active states, letter) key has more than `budget`
+        transition-choice combinations,
+      - the work, combinations times directions summed over the explored
+        (Safra tree, letter) pairs, exceeds 20 * `budget`, or
+      - the construction reaches more than `budget` Safra trees, or more
+        than `budget` states.
+
+    Every repeated object (Safra tree, edge relation, Rabin hit pair,
+    appearance record, state) is interned to a small integer id, assigned in
+    discovery order.  Discovery follows the exploration order, so the ids
+    fix the state numbering of the result.
     """
     a = simplify(a, budget=budget)
     if is_npt(a):
         return a
 
-    # pass 1: reachable Safra trees and their per-choice step results
-    cache = {}
-
-    def tree_step(tree, edges, nbw):
-        key = (tree, edges)
-        if key not in cache:
-            t2 = safra_step(tree, edges, nbw)
-            cache[key] = (t2, safra_hits(t2))
-        return cache[key]
-
+    # pass 1: reachable Safra trees and their per-edge-relation step results
     nbw = BadTraceNbw(a.priority)
     t0 = safra_initial(nbw.initial(a.initial))
+    tree_ids = {t0: 0}
+    tree_of = [t0]
     names_used = set(tree_names(t0))
-    seen_trees = {t0}
-    frontier = [t0]
-    choice_table = {}
+    edge_ids = {}
+    edge_of = []
+    hit_ids = {}
+    hits_of = []
+    choices = {}  # (active i-states, letter) -> (combo count, edge ids, rows)
+    succ = {}  # (tree id, letter) -> (rows, edge ids, their (tree id | None, hits id))
+    frontier = [0]
     work_units = 0
     while frontier:
-        tree = frontier.pop()
-        s_states = sorted(q for (tag, q) in _root_i_states(tree))
+        tid = frontier.pop()
+        tree = tree_of[tid]
+        active = tuple(sorted(q for (tag, q) in _root_i_states(tree)))
+        steps = {}  # edge id -> (successor tree id | None, hits id)
         for letter in a.alphabet:
-            combos = _transition_choices(a, s_states, letter, budget)
-            work_units += max(len(combos), 1) * len(a.directions)
+            key = (active, letter)
+            if key not in choices:
+                choices[key] = _choice_rows(a, active, letter, budget, edge_ids, edge_of)
+            count, used, rows = choices[key]
+            work_units += count * len(a.directions)
             if work_units > 20 * budget:
                 raise ResourceBudgetError(
                     f"determinization work exceeds the budget ({budget})"
                 )
-            entries = []
-            for combo in combos:
-                per_dir = {}
-                for d in a.directions:
-                    edges = frozenset(
-                        (q, q2) for q, model in zip(s_states, combo) for (dd, q2) in model if dd == d
-                    )
-                    t2, hits = tree_step(tree, edges, nbw)
-                    per_dir[d] = (t2, hits)
-                    if t2 is not None and t2 not in seen_trees:
+            # edge ids in first-use order, so new trees are found in the
+            # order the (combination, direction) scan would meet them
+            for e in used:
+                if e in steps:
+                    continue
+                t2 = safra_step(tree, edge_of[e], nbw)
+                h = _intern(hit_ids, hits_of, safra_hits(t2))
+                t2id = None
+                if t2 is not None:
+                    known = len(tree_of)
+                    t2id = _intern(tree_ids, tree_of, t2)
+                    if t2id == known:  # a new tree
                         names_used |= tree_names(t2)
-                        seen_trees.add(t2)
-                        frontier.append(t2)
-                        if len(seen_trees) > budget:
+                        frontier.append(t2id)
+                        if len(tree_of) > budget:
                             raise ResourceBudgetError(
                                 f"determinization exceeds the state budget ({budget})"
                             )
-                entries.append(per_dir)
-            choice_table[(tree, letter)] = entries
+                steps[e] = (t2id, h)
+            succ[(tid, letter)] = (rows, used, [steps[e] for e in used])
 
     # pass 2: refine with the appearance record over the names actually used
     names = tuple(sorted(names_used))
     k = len(names)
     sink = 0  # accept-all state for branches with no tracked obligations
-    states = {"sink": sink}
+    states = {"sink": sink}  # (tree id, perm id, prio) -> state
     priority = {sink: 2}
     trans = {}
-    rev = {sink: "sink"}
+    perm_ids = {names: 0}
+    perm_of = [names]
+    iar = {}  # (perm id, hits id) -> (perm id, prio)
+    conjs = {}  # target per direction -> conjunction of its moves
 
-    def intern(tree, perm, prio):
-        if tree is None:
-            return sink
-        key = (tree, perm, prio)
-        if key not in states:
-            idx = len(states)
-            states[key] = idx
-            rev[idx] = key
+    def state(tid, pid, prio):
+        key = (tid, pid, prio)
+        idx = states.get(key)
+        if idx is None:
+            idx = states[key] = len(states)
             priority[idx] = prio
             work.append(key)
             if len(states) > budget:
                 raise ResourceBudgetError(
                     f"determinization exceeds the state budget ({budget})"
                 )
-        return states[key]
+        return idx
+
+    def record(pid, h):
+        """The appearance-record step from record pid on hits h, memoized."""
+        out = iar.get((pid, h))
+        if out is None:
+            perm2, prio = iar_step(perm_of[pid], *hits_of[h])
+            out = iar[(pid, h)] = (_intern(perm_ids, perm_of, perm2), prio)
+        return out
 
     work = []
-    init = intern(t0, names, 2 * k + 2)
+    init = state(0, 0, 2 * k + 2)
     for letter in a.alphabet:
         trans[(sink, letter)] = pb.conj([pb.atom((d, sink)) for d in a.directions])
     while work:
         key = work.pop()
-        tree, perm, _ = key
+        tid, pid, _ = key
         me = states[key]
         for letter in a.alphabet:
+            rows, used, steps = succ[(tid, letter)]
+            # first-use order gives new states the numbers the
+            # (combination, direction) scan would give them
+            target = {}
+            for e, (t2id, h) in zip(used, steps):
+                if t2id is None:
+                    target[e] = sink
+                    continue
+                p2, prio = record(pid, h)
+                target[e] = state(t2id, p2, prio + 1)
             disjuncts = []
-            for per_dir in choice_table[(tree, letter)]:
-                conj = []
-                for d in a.directions:
-                    t2, (marked, present) = per_dir[d]
-                    if t2 is None:
-                        tgt = sink
-                    else:
-                        perm2, prio = iar_step(perm, marked, present)
-                        tgt = intern(t2, perm2, prio + 1)
-                    conj.append(pb.atom((d, tgt)))
-                disjuncts.append(pb.conj(conj))
+            for row in rows:
+                tgt = tuple(map(target.__getitem__, row))
+                f = conjs.get(tgt)
+                if f is None:
+                    f = conjs[tgt] = pb.conj(
+                        [pb.atom((d, q)) for d, q in zip(a.directions, tgt)]
+                    )
+                disjuncts.append(f)
             trans[(me, letter)] = pb.disj(disjuncts)
     n = len(states)
     out = Apt(a.alphabet, a.directions, n, init, trans, priority)
     return simplify(out, budget=budget)
+
+
+def _intern(ids, objs, x):
+    """The id of x; a new x gets the next id, its index in objs."""
+    i = ids.get(x)
+    if i is None:
+        i = ids[x] = len(objs)
+        objs.append(x)
+    return i
 
 
 def _root_i_states(tree):
@@ -345,9 +354,17 @@ def _root_i_states(tree):
     return frozenset(s for s in tree[1] if s[0] == "i")
 
 
-def _transition_choices(a, s_states, letter, budget):
-    """All combinations of minimal transition models, one per active state."""
-    per_state = [pb.minimal_models(a.trans[(q, letter)]) for q in s_states]
+def _choice_rows(a, active, letter, budget, edge_ids, edge_of):
+    """Transition choices of the active states on one letter, as edge relations.
+
+    A choice picks one minimal transition model per active state; along each
+    direction it induces the edge relation of (state, successor) pairs.
+    Returns (the choice count for the work budget, the distinct edge ids in
+    first-use order over choices then directions, one row per choice holding
+    its edge id per direction).  Choices come in itertools.product order.  New
+    edge relations are interned into edge_ids / edge_of.
+    """
+    per_state = [pb.minimal_models(a.trans[(q, letter)]) for q in active]
     total = 1
     for models in per_state:
         total *= max(len(models), 1)
@@ -355,4 +372,13 @@ def _transition_choices(a, s_states, letter, budget):
             raise ResourceBudgetError(
                 f"transition choice combinations exceed the budget ({budget})"
             )
-    return list(product(*per_state))
+    # per direction, the relation of every choice, one active state at a time
+    per_dir = []
+    for d in a.directions:
+        rels = [frozenset()]
+        for q, models in zip(active, per_state):
+            parts = [frozenset((q, q2) for (dd, q2) in m if dd == d) for m in models]
+            rels = [r | p for r in rels for p in parts]
+        per_dir.append([_intern(edge_ids, edge_of, r) for r in rels])
+    rows = list(zip(*per_dir))
+    return max(len(rows), 1), tuple(dict.fromkeys(chain.from_iterable(rows))), rows

@@ -203,11 +203,26 @@ def _tokenize(text):
     return tokens
 
 
+# Deepest nesting the parser accepts; deeper is a ParseError.  Nesting is the
+# depth of the concrete syntax tree: every pair of parentheses, unary operator
+# (!, X, F, G), quantifier, binding and binary operator (U, &&, ||, ->) over a
+# subformula is one level, so "!(p U q)" nests 3 deep and "p || q || r" 2
+# deep.  At the bound the deepest recursion measured is parsing 100 nested
+# parentheses, about 610 frames (six parser frames a level); the walks over
+# the desugared formula (fragment analysis, compiler, checker) take at most
+# about 410, for 100 nested G or &&.  Both stay inside Python's default
+# recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
+    """Recursive descent; every parse method returns (formula, nesting depth)."""
+
     def __init__(self, text, agent_names):
         self.toks = _tokenize(text)
         self.pos = 0
         self.agents = set(agent_names)
+        self.open = 0  # nesting levels entered and not yet left
 
     def peek(self, k=0):
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -219,41 +234,60 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def _level(depth, tok):
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok[2])
+        return depth
+
+    def _nested(self, parse, tok):
+        """Parse one level further in; refuses before the recursion gets deep."""
+        self.open += 1
+        self._level(self.open, tok)
+        f, depth = parse()
+        self.open -= 1
+        return f, self._level(depth + 1, tok)
+
     def parse(self):
-        f = self.implies()
+        f, _ = self.implies()
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return f
 
     def implies(self):
-        left = self.or_()
-        if self.peek()[0] == "->":
+        left, depth = self.or_()
+        tok = self.peek()
+        if tok[0] == "->":
             self.take()
-            return f_implies(left, self.implies())
-        return left
+            right, d = self._nested(self.implies, tok)
+            return f_implies(left, right), self._level(max(depth + 1, d), tok)
+        return left, depth
 
     def or_(self):
-        f = self.and_()
-        while self.peek()[0] == "||":
+        f, depth = self.and_()
+        while (tok := self.peek())[0] == "||":
             self.take()
-            f = Or(f, self.and_())
-        return f
+            right, d = self.and_()
+            f, depth = Or(f, right), self._level(max(depth, d) + 1, tok)
+        return f, depth
 
     def and_(self):
-        f = self.until()
-        while self.peek()[0] == "&&":
+        f, depth = self.until()
+        while (tok := self.peek())[0] == "&&":
             self.take()
-            f = f_and(f, self.until())
-        return f
+            right, d = self.until()
+            f, depth = f_and(f, right), self._level(max(depth, d) + 1, tok)
+        return f, depth
 
     def until(self):
-        left = self.unary()
+        left, depth = self.unary()
         tok = self.peek()
         if tok[0] == "word" and tok[1] == "U":
             self.take()
-            return Until(left, self.until())
-        return left
+            right, d = self._nested(self.until, tok)
+            return Until(left, right), self._level(max(depth + 1, d), tok)
+        return left, depth
 
     def _var_tuple(self, closer):
         names = []
@@ -294,32 +328,38 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "!":
             self.take()
-            return Not(self.unary())
+            f, depth = self._nested(self.unary, tok)
+            return Not(f), depth
         if tok[0] == "word" and tok[1] == "X":
             self.take()
-            return Next(self.unary())
+            f, depth = self._nested(self.unary, tok)
+            return Next(f), depth
         if tok[0] == "word" and tok[1] == "F":
             self.take()
-            return f_eventually(self.unary())
+            f, depth = self._nested(self.unary, tok)
+            return f_eventually(f), depth
         if tok[0] == "word" and tok[1] == "G":
             self.take()
-            return f_globally(self.unary())
+            f, depth = self._nested(self.unary, tok)
+            return f_globally(f), depth
         if tok[0] == "word" and tok[1] == "true":
             self.take()
-            return f_true()
+            return f_true(), 0
         if tok[0] == "word" and tok[1] == "false":
             self.take()
-            return f_false()
+            return f_false(), 0
         if tok[0] == "<<":
             self.take()
             names, _ = self._var_tuple(">>")
             grade = self._grade("^>=")
-            return ExistsGraded(names, grade, self.unary())
+            f, depth = self._nested(self.unary, tok)
+            return ExistsGraded(names, grade, f), depth
         if tok[0] == "[[":
             self.take()
             names, _ = self._var_tuple("]]")
             grade = self._grade("^<")
-            return forall_graded(names, grade, self.unary())
+            f, depth = self._nested(self.unary, tok)
+            return forall_graded(names, grade, f), depth
         if tok[0] == "(":
             # binding looks like ( ident , ident ) with a declared agent first
             if (
@@ -334,16 +374,17 @@ class _Parser:
                 self.take(",")
                 var = self.take("word")[1]
                 self.take(")")
-                return Bind(agent, var, self.unary())
+                f, depth = self._nested(self.unary, tok)
+                return Bind(agent, var, f), depth
             self.take()
-            f = self.implies()
+            f, depth = self._nested(self.implies, tok)
             self.take(")")
-            return f
+            return f, depth
         if tok[0] == "word":
             if tok[1] in _RESERVED or tok[1] in _GRADE_WORDS:
                 raise ParseError(f"reserved word {tok[1]!r} used as atom", tok[2])
             self.take()
-            return Atom(tok[1])
+            return Atom(tok[1]), 0
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
@@ -385,7 +426,12 @@ def _wrap(text, mylevel, wanted):
 
 
 def print_formula(f):
-    """Concrete syntax such that parse_formula(print_formula(f)) == f."""
+    """Concrete syntax such that parse_formula(print_formula(f)) == f.
+
+    The printed form spells out the desugaring (G p is !((tt || !tt) U !p)), so
+    it nests deeper than the text f was parsed from; it parses back only while
+    that stays within MAX_NESTING.
+    """
     return _pr(f, 0)
 
 

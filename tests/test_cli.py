@@ -11,6 +11,7 @@ import os
 import pytest
 
 from gslmc import cli
+from gslmc import formula as fm
 from gslmc.cli import main
 
 from conftest import TOGGLE, SINGLE_ACTION
@@ -88,11 +89,14 @@ class TestCheckExitCodes:
         code, out, err = run(capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p")
         assert code == 4 and "memory" in err and "FAILS" not in out
 
-    def test_internal_error_is_six(self, capsys):
-        # nesting deeper than the checker's recursive walks reach is a defect,
-        # reported on one line; exit 1 would read as FAILS
-        model = os.path.join(DATA, "toggle.json")
-        code, out, err = run(capsys, "check", model, "-f", "!" * 3000 + "p")
+    def test_internal_error_is_six(self, capsys, toggle_path, monkeypatch):
+        # an unexpected exception is a defect, reported on one line; exit 1
+        # would read as FAILS
+        def defect(*args, **kwargs):
+            raise RuntimeError("broken invariant\nsecond line")
+
+        monkeypatch.setattr(cli, "check_sentence", defect)
+        code, out, err = run(capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p")
         assert code == cli.EXIT_INTERNAL == 6
         assert "FAILS" not in out
         assert err.startswith("internal error") and len(err.strip().splitlines()) == 1
@@ -100,6 +104,38 @@ class TestCheckExitCodes:
     def test_unknown_grade_token_is_parse_error(self, capsys, toggle_path):
         code, _, _ = run(capsys, "check", toggle_path, "-f", "<<x>>^>=zz p")
         assert code == 2
+
+
+# A formula of nesting depth exactly d for each way of nesting (toggle model).
+# Quantified formulas open with <<x>> (a0,x), which is two levels.
+NESTING = {
+    "not": lambda d: "!" * d + "p",
+    "next": lambda d: "<<x>> (a0,x) " + "X " * (d - 2) + "p",
+    "eventually": lambda d: "<<x>> (a0,x) " + "F " * (d - 2) + "p",
+    "globally": lambda d: "<<x>> (a0,x) " + "G " * (d - 2) + "p",
+    "parentheses": lambda d: "(" * d + "p" + ")" * d,
+    "binding": lambda d: "<<x>> " + "(a0,x) " * (d - 2) + "X p",
+    "exists": lambda d: "<<x>> " * (d - 2) + "(a0,x) X p",
+    "forall": lambda d: "[[x]] " * (d - 2) + "(a0,x) X p",
+    "until": lambda d: "<<x>> (a0,x) (" + " U ".join(["p"] * (d - 2)) + ")",
+    "or": lambda d: " || ".join(["p"] * (d + 1)),
+    "and": lambda d: " && ".join(["p"] * (d + 1)),
+    "implies": lambda d: " -> ".join(["p"] * (d + 1)),
+}
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("kind", sorted(NESTING))
+    def test_bound_checks_and_one_more_level_is_a_parse_error(self, capsys, toggle_path, kind):
+        deepest = NESTING[kind](fm.MAX_NESTING)
+        # checking a block of ~100 quantified variables is exponential in the
+        # block, so quantifier nesting stops at the analysis walks of `info`
+        cmd = "info" if kind in ("exists", "forall") else "check"
+        code, out, err = run(capsys, cmd, toggle_path, "-f", deepest)
+        assert code in (0, 1) and not err
+        code, out, err = run(capsys, "check", toggle_path, "-f", NESTING[kind](fm.MAX_NESTING + 1))
+        assert code == 2 and not out
+        assert f"nests deeper than {fm.MAX_NESTING} levels" in err
 
 
 class TestStatsAndStages:

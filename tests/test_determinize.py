@@ -1,18 +1,52 @@
+import contextlib
+import hashlib
+import io
+import os
 import random
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
+from gslmc import cli
 from gslmc.automata import is_npt, member
 from gslmc.determinize import (
     BadTraceNbw,
-    TraceMonitor,
+    iar_step,
     nondeterminize,
+    safra_hits,
     safra_initial,
     safra_step,
     tree_names,
 )
 from gslmc.errors import ResourceBudgetError
 from test_automata import random_apt, random_tree
+
+
+class TraceMonitor:
+    """Deterministic parity word automaton over edge relations.
+
+    Accepts (min-parity even) exactly when every trace through the word is
+    good; built as the complement of the determinized bad-trace automaton.
+    States are (safra tree, appearance record) pairs; the priority emitted
+    by a step is already complemented (shifted by one).
+    """
+
+    def __init__(self, apt_priority, names):
+        self.nbw = BadTraceNbw(apt_priority)
+        self.names = tuple(names)
+
+    def initial(self, q):
+        tree = safra_initial(self.nbw.initial(q))
+        return (tree, self.names)
+
+    def step(self, state, edges):
+        tree, perm = state
+        tree2 = safra_step(tree, edges, self.nbw)
+        marked, present = safra_hits(tree2)
+        perm2, prio = iar_step(perm, marked, present)
+        return (tree2, perm2), prio + 1
 
 
 def nbw_accepts_lasso(nbw, q0, prefix, cycle):
@@ -128,3 +162,60 @@ class TestNondeterminize:
         with pytest.raises(ResourceBudgetError):
             for _ in range(50):
                 nondeterminize(random_apt(rng2, max_states=4), budget=3)
+
+
+# ---------------------------------------------------------------------------
+# golden stage dumps: alternation removal must keep producing these automata,
+# with the same state numbering, under any PYTHONHASHSEED
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "examples_data")
+
+# SHA-256 of the --emit-stage files, concatenated in file-name order, of the
+# `gen unique-ne` sentence checked on the model
+GOLDEN_STAGES = {
+    ("pennies.json", "pennies_obj.json"):
+        "c7ca3c72c3acdfb1409c29656a13ebb375e5b49dd0b6ed104698aae43a8207c3",
+    ("desk3.json", "desk3_next_obj.json"):
+        "20e190096c75762aa9fd21eb6a8ef0781b4004706f70ccf0b0dbceb092b0edef",
+}
+
+
+def in_process(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def stage_digest(run, model, objectives):
+    """Digest of the stage dumps of `gen unique-ne` checked on the model."""
+    model, objectives = os.path.join(DATA, model), os.path.join(DATA, objectives)
+    code, sentence = run("gen", "unique-ne", model, "--objectives", objectives)
+    assert code == 0
+    with tempfile.TemporaryDirectory() as stages:
+        code, out = run("check", model, "-f", sentence.strip(), "--emit-stage", stages)
+        assert code == 1 and out.splitlines()[-1] == "FAILS"
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(stages)):
+            with open(os.path.join(stages, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+class TestGoldenStages:
+    @pytest.mark.parametrize("model,objectives", sorted(GOLDEN_STAGES))
+    def test_stage_dumps_match(self, model, objectives):
+        assert stage_digest(in_process, model, objectives) == GOLDEN_STAGES[(model, objectives)]
+
+    def test_stage_dumps_match_under_another_hash_seed(self):
+        seed = "2" if os.environ.get("PYTHONHASHSEED") != "2" else "5"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(ROOT, "src"))
+
+        def run(*argv):
+            done = subprocess.run([sys.executable, "-m", "gslmc.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            return done.returncode, done.stdout
+
+        key = ("desk3.json", "desk3_next_obj.json")
+        assert stage_digest(run, *key) == GOLDEN_STAGES[key]
