@@ -30,6 +30,7 @@ class Apt:
         return self.trans[(q, letter)]
 
     def check(self):
+        memo = {}
         for q in range(self.n_states):
             if q not in self.priority:
                 raise ValueError(f"state {q} has no priority")
@@ -37,7 +38,7 @@ class Apt:
                 f = self.trans.get((q, a))
                 if f is None:
                     raise ValueError(f"missing transition ({q}, {a!r})")
-                for d, q2 in pb.atoms(f):
+                for d, q2 in pb.atoms(f, memo):
                     if d not in self.directions or not (0 <= q2 < self.n_states):
                         raise ValueError(f"bad move ({d!r}, {q2}) in delta({q}, {a!r})")
         return self
@@ -63,7 +64,8 @@ def reject_all(alphabet, directions):
 
 def dualize(a):
     """Complement: swap and/or and true/false, shift priorities by 1."""
-    trans = {k: pb.dual(f) for k, f in a.trans.items()}
+    memo = {}
+    trans = {k: pb.dual(f, memo) for k, f in a.trans.items()}
     priority = {q: p + 1 for q, p in a.priority.items()}
     return Apt(a.alphabet, a.directions, a.n_states, a.initial, trans, priority)
 
@@ -79,11 +81,12 @@ def _combine(a, b, op):
         d, q = move
         return (d, q + off)
 
+    memo = {}
     for (q, letter), f in b.trans.items():
-        trans[(q + off, letter)] = pb.map_atoms(f, shift)
+        trans[(q + off, letter)] = pb.map_atoms(f, shift, memo)
     for letter in a.alphabet:
         fa = a.trans[(a.initial, letter)]
-        fb = pb.map_atoms(b.trans[(b.initial, letter)], shift)
+        fb = pb.map_atoms(b.trans[(b.initial, letter)], shift, memo)
         trans[(new0, letter)] = op([fa, fb])
     priority = dict(a.priority)
     for q, p in b.priority.items():
@@ -176,7 +179,9 @@ def distinctness_apt(grid, alphabet, directions, allowed_dirs=None):
 def is_npt(a):
     """Every disjunct of every transition assigns exactly one move per direction."""
     dirs = set(a.directions)
-    for f in a.trans.values():
+    # distinct formulas in table order: the walk, and so the work done
+    # before an early False, must not depend on the hash seed
+    for f in dict.fromkeys(a.trans.values()):
         for model in _disjuncts(f):
             seen = {}
             for d, q in model:
@@ -245,10 +250,15 @@ def project(a, coords, actions):
         val, s = letter
         key = (tuple(kv for kv in val if kv[0] not in coords), s)
         extensions.setdefault(key, []).append(letter)
+    disjs = {}  # the formulas on the extensions -> their disjunction
     trans = {}
     for q in range(a.n_states):
         for nl in new_letters:
-            trans[(q, nl)] = pb.disj([a.trans[(q, ol)] for ol in extensions[nl]])
+            fs = tuple(a.trans[(q, ol)] for ol in extensions[nl])
+            f = disjs.get(fs)
+            if f is None:
+                f = disjs[fs] = pb.disj(fs)
+            trans[(q, nl)] = f
     return Apt(tuple(new_letters), a.directions, a.n_states, a.initial, trans, dict(a.priority))
 
 
@@ -435,7 +445,10 @@ def assignment_alphabet(cgs, names):
 
 def simplify(a, budget=DEFAULT_STATE_BUDGET):
     """Drop unreachable states, merge transition-identical states, compress
-    priorities.  Language-preserving."""
+    priorities.  Language-preserving.
+
+    In the result, equal transition formulas are one shared object.
+    """
     a = _restrict_reachable(a)
     while True:
         merged = _merge_equivalent(a)
@@ -445,16 +458,19 @@ def simplify(a, budget=DEFAULT_STATE_BUDGET):
     a = compress_priorities(a)
     if a.n_states > budget:
         raise ResourceBudgetError(f"automaton exceeds state budget ({a.n_states})")
-    return a
+    one = {}
+    trans = {k: one.setdefault(f, f) for k, f in a.trans.items()}
+    return Apt(a.alphabet, a.directions, a.n_states, a.initial, trans, a.priority)
 
 
 def _restrict_reachable(a):
+    atom_sets = {}
     reach = {a.initial}
     frontier = [a.initial]
     while frontier:
         q = frontier.pop()
         for letter in a.alphabet:
-            for _d, q2 in pb.atoms(a.trans[(q, letter)]):
+            for _d, q2 in pb.atoms(a.trans[(q, letter)], atom_sets):
                 if q2 not in reach:
                     reach.add(q2)
                     frontier.append(q2)
@@ -462,12 +478,15 @@ def _restrict_reachable(a):
         return a
     order = sorted(reach)
     remap = {q: i for i, q in enumerate(order)}
+
+    def rename(m):
+        return (m[0], remap[m[1]])
+
+    memo = {}
     trans = {}
     for q in order:
         for letter in a.alphabet:
-            trans[(remap[q], letter)] = pb.map_atoms(
-                a.trans[(q, letter)], lambda m: (m[0], remap[m[1]])
-            )
+            trans[(remap[q], letter)] = pb.map_atoms(a.trans[(q, letter)], rename, memo)
     priority = {remap[q]: a.priority[q] for q in order}
     return Apt(a.alphabet, a.directions, len(order), remap[a.initial], trans, priority)
 
@@ -487,12 +506,15 @@ def _merge_equivalent(a):
         return a
     remap = {q: i for i, q in enumerate(classes)}
     full = {q: remap[rep[q]] for q in range(a.n_states)}
+
+    def rename(m):
+        return (m[0], full[m[1]])
+
+    memo = {}
     trans = {}
     for q in classes:
         for letter in a.alphabet:
-            trans[(remap[q], letter)] = pb.map_atoms(
-                a.trans[(q, letter)], lambda m: (m[0], full[m[1]])
-            )
+            trans[(remap[q], letter)] = pb.map_atoms(a.trans[(q, letter)], rename, memo)
     priority = {remap[q]: a.priority[q] for q in classes}
     return Apt(a.alphabet, a.directions, len(classes), full[a.initial], trans, priority)
 

@@ -33,7 +33,7 @@ from gslmc.automata import (
     unwinding_tree,
 )
 from gslmc.determinize import nondeterminize, DEFAULT_BUDGET
-from gslmc.errors import ModelError, UnsupportedGradeError
+from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 
 
 def _copy_name(name, j):
@@ -50,8 +50,16 @@ class CompilationContext:
     _alphabets: dict = field(default_factory=dict)
 
     def alphabet(self, names):
+        """All (valuation, state) letters over names; a ResourceBudgetError
+        when there would be more than `budget` of them."""
         key = frozenset(names)
         if key not in self._alphabets:
+            size = len(self.cgs.actions) ** len(key) * len(self.cgs.states)
+            if size > self.budget:
+                raise ResourceBudgetError(
+                    f"the alphabet over {len(key)} strategy names has {size} letters,"
+                    f" over the budget ({self.budget})"
+                )
             self._alphabets[key] = assignment_alphabet(self.cgs, key)
         return self._alphabets[key]
 
@@ -213,12 +221,13 @@ def _until(left, right, ctx):
     def shift(move):
         return (move[0], move[1] + off)
 
+    memo = {}
     for (q, letter), g in b.trans.items():
-        trans[(q + off, letter)] = pb.map_atoms(g, shift)
+        trans[(q + off, letter)] = pb.map_atoms(g, shift, memo)
     for letter in alpha:
         d = _play_direction(ctx, letter)
         hold = pb.conj([a.trans[(a.initial, letter)], pb.atom((d, pend))])
-        done = pb.map_atoms(b.trans[(b.initial, letter)], shift)
+        done = pb.map_atoms(b.trans[(b.initial, letter)], shift, memo)
         trans[(pend, letter)] = pb.disj([done, hold])
     priority = dict(a.priority)
     for q, p in b.priority.items():

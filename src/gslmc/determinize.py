@@ -232,6 +232,7 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     edge_of = []
     hit_ids = {}
     hits_of = []
+    models = {}  # (state, letter) -> minimal models of its transition
     choices = {}  # (active i-states, letter) -> (combo count, edge ids, rows)
     succ = {}  # (tree id, letter) -> (rows, edge ids, their (tree id | None, hits id))
     frontier = [0]
@@ -244,7 +245,9 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
         for letter in a.alphabet:
             key = (active, letter)
             if key not in choices:
-                choices[key] = _choice_rows(a, active, letter, budget, edge_ids, edge_of)
+                choices[key] = _choice_rows(
+                    a, active, letter, budget, models, edge_ids, edge_of
+                )
             count, used, rows = choices[key]
             work_units += count * len(a.directions)
             if work_units > 20 * budget:
@@ -283,6 +286,7 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     perm_of = [names]
     iar = {}  # (perm id, hits id) -> (perm id, prio)
     conjs = {}  # target per direction -> conjunction of its moves
+    disjs = {}  # targets of all choices -> disjunction of their conjunctions
 
     def state(tid, pid, prio):
         key = (tid, pid, prio)
@@ -324,16 +328,19 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
                     continue
                 p2, prio = record(pid, h)
                 target[e] = state(t2id, p2, prio + 1)
-            disjuncts = []
-            for row in rows:
-                tgt = tuple(map(target.__getitem__, row))
-                f = conjs.get(tgt)
-                if f is None:
-                    f = conjs[tgt] = pb.conj(
-                        [pb.atom((d, q)) for d, q in zip(a.directions, tgt)]
-                    )
-                disjuncts.append(f)
-            trans[(me, letter)] = pb.disj(disjuncts)
+            tgts = tuple(tuple(map(target.__getitem__, row)) for row in rows)
+            f = disjs.get(tgts)
+            if f is None:
+                disjuncts = []
+                for tgt in tgts:
+                    g = conjs.get(tgt)
+                    if g is None:
+                        g = conjs[tgt] = pb.conj(
+                            [pb.atom((d, q)) for d, q in zip(a.directions, tgt)]
+                        )
+                    disjuncts.append(g)
+                f = disjs[tgts] = pb.disj(disjuncts)
+            trans[(me, letter)] = f
     n = len(states)
     out = Apt(a.alphabet, a.directions, n, init, trans, priority)
     return simplify(out, budget=budget)
@@ -354,7 +361,7 @@ def _root_i_states(tree):
     return frozenset(s for s in tree[1] if s[0] == "i")
 
 
-def _choice_rows(a, active, letter, budget, edge_ids, edge_of):
+def _choice_rows(a, active, letter, budget, models, edge_ids, edge_of):
     """Transition choices of the active states on one letter, as edge relations.
 
     A choice picks one minimal transition model per active state; along each
@@ -362,12 +369,18 @@ def _choice_rows(a, active, letter, budget, edge_ids, edge_of):
     Returns (the choice count for the work budget, the distinct edge ids in
     first-use order over choices then directions, one row per choice holding
     its edge id per direction).  Choices come in itertools.product order.  New
-    edge relations are interned into edge_ids / edge_of.
+    edge relations are interned into edge_ids / edge_of, and the minimal models
+    of each (state, letter) transition are computed once into `models`.
     """
-    per_state = [pb.minimal_models(a.trans[(q, letter)]) for q in active]
+    per_state = []
+    for q in active:
+        m = models.get((q, letter))
+        if m is None:
+            m = models[(q, letter)] = pb.minimal_models(a.trans[(q, letter)])
+        per_state.append(m)
     total = 1
-    for models in per_state:
-        total *= max(len(models), 1)
+    for m in per_state:
+        total *= max(len(m), 1)
         if total > budget:
             raise ResourceBudgetError(
                 f"transition choice combinations exceed the budget ({budget})"
@@ -376,8 +389,8 @@ def _choice_rows(a, active, letter, budget, edge_ids, edge_of):
     per_dir = []
     for d in a.directions:
         rels = [frozenset()]
-        for q, models in zip(active, per_state):
-            parts = [frozenset((q, q2) for (dd, q2) in m if dd == d) for m in models]
+        for q, qmodels in zip(active, per_state):
+            parts = [frozenset((q, q2) for (dd, q2) in m if dd == d) for m in qmodels]
             rels = [r | p for r in rels for p in parts]
         per_dir.append([_intern(edge_ids, edge_of, r) for r in rels])
     rows = list(zip(*per_dir))

@@ -11,9 +11,15 @@ Formulas are immutable tuples so they hash and compare structurally:
 Constructors normalize: constants fold away, nested same-kind nodes are
 flattened, duplicate children dropped.  Negation does not exist; dualization
 swaps the two kinds and the two constants.
-"""
 
-from functools import lru_cache
+The walks `dual`, `map_atoms` and `atoms` take an optional `memo` dict from
+formula to result.  An automaton operation that walks many transitions passes
+one dict for the whole operation, and the recursion shares it, so each
+distinct (sub)formula is walked once and equal inputs give one shared result
+object.  A memo holds the results of one walk: `map_atoms` needs one dict per
+`fn`.  Memos live only as long as the operation that made them; no cache here
+is module-level, so no formula outlives the check that built it.
+"""
 
 TRUE = ("t",)
 FALSE = ("f",)
@@ -54,37 +60,60 @@ def disj(items):
     return _build("|", items, FALSE, TRUE)
 
 
-def dual(f):
+def dual(f, memo=None):
     if f == TRUE:
         return FALSE
     if f == FALSE:
         return TRUE
     if f[0] == "a":
         return f
-    kids = tuple(dual(k) for k in f[1])
-    return conj(kids) if f[0] == "|" else disj(kids)
+    if memo is None:
+        memo = {}
+    out = memo.get(f)
+    if out is None:
+        kids = [dual(k, memo) for k in f[1]]
+        out = memo[f] = conj(kids) if f[0] == "|" else disj(kids)
+    return out
 
 
-def map_atoms(f, fn):
-    """Rebuild f with every atom move m replaced by fn(m) (normalizing)."""
+def map_atoms(f, fn, memo=None):
+    """Rebuild f with every atom move m replaced by fn(m) (normalizing).
+
+    memo, if given, must only ever have been used with this same fn.
+    """
     if f in (TRUE, FALSE):
         return f
-    if f[0] == "a":
-        return atom(fn(f[1]))
-    kids = [map_atoms(k, fn) for k in f[1]]
-    return conj(kids) if f[0] == "&" else disj(kids)
+    if memo is None:
+        memo = {}
+    out = memo.get(f)
+    if out is None:
+        if f[0] == "a":
+            out = atom(fn(f[1]))
+        else:
+            kids = [map_atoms(k, fn, memo) for k in f[1]]
+            out = conj(kids) if f[0] == "&" else disj(kids)
+        memo[f] = out
+    return out
 
 
-def atoms(f):
+def atoms(f, memo=None):
     """Set of moves occurring in f."""
     if f in (TRUE, FALSE):
         return frozenset()
     if f[0] == "a":
         return frozenset([f[1]])
-    out = set()
-    for k in f[1]:
-        out |= atoms(k)
-    return frozenset(out)
+    if memo is None:
+        memo = {}
+    out = memo.get(f)
+    if out is None:
+        moves = set()
+        for k in f[1]:
+            if k[0] == "a":
+                moves.add(k[1])
+            else:
+                moves |= atoms(k, memo)
+        out = memo[f] = frozenset(moves)
+    return out
 
 
 def evaluate(f, chosen):
@@ -128,13 +157,6 @@ def minimal_models(f):
         if not models:
             return []
     return models
-
-
-@lru_cache(maxsize=None)
-def size(f):
-    if f in (TRUE, FALSE) or f[0] == "a":
-        return 1
-    return 1 + sum(size(k) for k in f[1])
 
 
 def render(f):

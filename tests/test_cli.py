@@ -138,6 +138,25 @@ class TestNestingBound:
         assert f"nests deeper than {fm.MAX_NESTING} levels" in err
 
 
+class TestAlphabetBudget:
+    # every nested quantifier gets its own copy coordinates, so the letters
+    # over all of them outgrow memory long before the automata do
+    @pytest.mark.parametrize("quantifier, depth", [("[[x]]", 98), ("<<x>>", 50)])
+    def test_nested_quantifiers_stop_on_the_budget(self, capsys, toggle_path, quantifier, depth):
+        f = f"{quantifier} " * depth + "(a0,x) X p"
+        code, out, err = run(capsys, "check", toggle_path, "-f", f, "--budget", "1000")
+        assert code == 4 and not out
+        assert "strategy names has" in err and "over the budget (1000)" in err
+
+    def test_alphabet_at_the_budget_is_built(self, capsys, toggle_path):
+        # <<x>>^>=2 reads x#1 and x#2: 2 actions ** 2 names * 2 states = 8
+        f = "<<x>>^>=2 (a0,x) X p"
+        code, _, err = run(capsys, "check", toggle_path, "-f", f, "--budget", "8")
+        assert "strategy names" not in err
+        code, _, err = run(capsys, "check", toggle_path, "-f", f, "--budget", "7")
+        assert code == 4 and "the alphabet over 2 strategy names has 8 letters" in err
+
+
 class TestStatsAndStages:
     def test_stats_lines_present(self, capsys, toggle_path):
         code, out, _ = run(
