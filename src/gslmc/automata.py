@@ -8,13 +8,11 @@ Trees are presented by finite generators (RegularTree): a total transducer
 assigning every node a letter and a child node per direction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from gslmc import posbool as pb
 from gslmc.errors import ModelError, ResourceBudgetError
 from gslmc.paritygame import ParityGame, solve_zielonka, VERIFIER
-
-DEFAULT_STATE_BUDGET = 10**6
 
 
 @dataclass
@@ -26,23 +24,6 @@ class Apt:
     trans: dict  # (state, letter) -> posbool over (direction, state) moves
     priority: dict  # state -> nat
 
-    def delta(self, q, letter):
-        return self.trans[(q, letter)]
-
-    def check(self):
-        memo = {}
-        for q in range(self.n_states):
-            if q not in self.priority:
-                raise ValueError(f"state {q} has no priority")
-            for a in self.alphabet:
-                f = self.trans.get((q, a))
-                if f is None:
-                    raise ValueError(f"missing transition ({q}, {a!r})")
-                for d, q2 in pb.atoms(f, memo):
-                    if d not in self.directions or not (0 <= q2 < self.n_states):
-                        raise ValueError(f"bad move ({d!r}, {q2}) in delta({q}, {a!r})")
-        return self
-
     def max_priority(self):
         return max(self.priority.values()) if self.priority else 0
 
@@ -50,11 +31,6 @@ class Apt:
 def accept_all(alphabet, directions):
     """One-state automaton accepting every tree (all branches die at once)."""
     trans = {(0, a): pb.TRUE for a in alphabet}
-    return Apt(tuple(alphabet), tuple(directions), 1, 0, trans, {0: 0})
-
-
-def reject_all(alphabet, directions):
-    trans = {(0, a): pb.FALSE for a in alphabet}
     return Apt(tuple(alphabet), tuple(directions), 1, 0, trans, {0: 0})
 
 
@@ -221,11 +197,6 @@ def _disjuncts(f):
     return out
 
 
-def npt_disjunct(assignment):
-    """Transition disjunct assigning exactly one successor per direction."""
-    return pb.conj([pb.atom((d, q)) for d, q in assignment.items()])
-
-
 def project(a, coords, actions):
     """Erase valuation coordinates `coords` existentially (NPT input only).
 
@@ -377,53 +348,40 @@ def member(a, tree):
 # trees built from game structures
 
 
-def empty_valuation_letter(state):
-    return ((), state)
-
-
-def unwinding_tree(cgs):
-    """State-labeled unwinding of a game structure, as a regular tree.
-
-    Nodes are states; the d-child of any node is d itself; labels are
-    (empty valuation, state) letters.  Used to check sentences.
-    """
-    letters = {q: empty_valuation_letter(q) for q in cgs.states}
-    children = {(q, d): d for q in cgs.states for d in cgs.states}
-    return RegularTree(letters, children, cgs.initial)
-
-
 def encoding_tree(cgs, assignment):
     """Tree encoding of a strategy assignment.
 
-    assignment maps placeholder names to FiniteStrategy machines.  A node is
-    (state, memory vector); its label pairs the valuation {name: action
-    prescribed at this history} with the state; the d-child advances every
-    machine by d.  Directions off the real play still carry well-defined
-    labels, so the generator stays total.
+    assignment maps placeholder names to FiniteStrategy machines.  A node
+    stands for a (state, memory vector) pair and is an integer id in
+    discovery order (cheap to hash in the membership game), the root 0; its
+    label pairs the valuation {name: action prescribed at this history} with
+    the state; the d-child advances every machine by d.  Directions off the
+    real play still carry well-defined labels, so the generator stays total.
+    The empty assignment gives the structure's unwinding, where a sentence is
+    checked.
     """
     names = tuple(sorted(assignment))
     machines = [assignment[x] for x in names]
-
-    def make(q, mems):
-        return (q, mems)
-
-    root = make(cgs.initial, tuple(m.init for m in machines))
+    root = (cgs.initial, tuple(m.init for m in machines))
+    ids = {root: 0}
     letters = {}
     children = {}
     frontier = [root]
-    seen = {root}
     while frontier:
-        node = frontier.pop()
-        q, mems = node
-        val = tuple((x, m.output[(mem, q)]) for x, m, mem in zip(names, machines, mems))
+        pair = frontier.pop()
+        node = ids[pair]
+        q, mems = pair
+        val = tuple([(x, m.output[(mem, q)]) for x, m, mem in zip(names, machines, mems)])
         letters[node] = (val, q)
+        rows = list(zip(machines, mems))
         for d in cgs.states:
-            nxt = make(d, tuple(m.update[(mem, d)] for m, mem in zip(machines, mems)))
-            children[(node, d)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
+            nxt = (d, tuple([m.update[(mem, d)] for m, mem in rows]))
+            child = ids.get(nxt)
+            if child is None:
+                child = ids[nxt] = len(ids)
                 frontier.append(nxt)
-    return RegularTree(letters, children, root)
+            children[(node, d)] = child
+    return RegularTree(letters, children, 0)
 
 
 def assignment_alphabet(cgs, names):
@@ -443,7 +401,7 @@ def assignment_alphabet(cgs, names):
 # simplification
 
 
-def simplify(a, budget=DEFAULT_STATE_BUDGET):
+def simplify(a, budget):
     """Drop unreachable states, merge transition-identical states, compress
     priorities.  Language-preserving.
 

@@ -2,7 +2,7 @@
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from gslmc.errors import ModelError
 from gslmc import formula as fm
@@ -26,9 +26,6 @@ class Cgs:
 
     def successors(self, state):
         return {self.trans[(state, d)] for d in self.decisions()}
-
-    def labels_of(self, state):
-        return self.label[state]
 
 
 def _require(cond, msg):
@@ -145,12 +142,6 @@ class FiniteStrategy:
 
     def action(self, mem, state):
         return self.output[(mem, state)]
-
-    def action_on_history(self, history):
-        mem = self.init
-        for s in history[1:]:
-            mem = self.advance(mem, s)
-        return self.output[(mem, history[-1])]
 
 
 def memoryless(cgs, choice):

@@ -1,9 +1,10 @@
 """Command-line front-end: check, info, gen, oracle.
 
 Exit codes: 0 holds / oracle true, 1 fails / oracle false, 2 parse or usage
-error, 3 model validation error, 4 unsupported grade, resource budget or out
-of memory, 5 oracle verdict is only a lower bound and --require-exact was
-given, 6 internal error (a defect of the checker, never a verdict).
+error, 3 invalid model, objectives or --assign document, 4 unsupported
+grade, resource budget or out of memory, 5 oracle verdict is only a lower
+bound and --require-exact was given, 6 internal error (a defect of the
+checker, never a verdict).
 """
 
 import argparse
@@ -54,7 +55,7 @@ def _load_assignment(path, cgs):
         doc = json.load(fh)
     out = {}
     for name, m in doc.items():
-        memory = tuple(m["memory"])
+        memory = tuple(_mem(x) for x in m["memory"])
         update = {}
         output = {}
         for key, v in m["update"].items():
@@ -64,7 +65,30 @@ def _load_assignment(path, cgs):
             mem, state = key.split(",", 1)
             output[(_mem(mem), state)] = v
         out[name] = FiniteStrategy(memory, _mem(m["init"]), update, output)
+        _check_machine(name, out[name], cgs)
     return out
+
+
+def _check_machine(name, machine, cgs):
+    """The cells the checker and the oracle read: at every (state, memory)
+    pair reachable from (initial state, init), moving to every model state,
+    an output among the model's actions and an update into the declared
+    memory for each next state."""
+    todo = [(cgs.initial, machine.init)]
+    seen = set(todo)
+    while todo:
+        q, mem = todo.pop()
+        if machine.output.get((mem, q)) not in cgs.actions:
+            raise ModelError(
+                f"machine {name!r}: cell {mem},{q} has no output among the model's actions"
+            )
+        for d in cgs.states:
+            nxt = machine.update.get((mem, d))
+            if nxt not in machine.memory:
+                raise ModelError(f"machine {name!r}: cell {mem},{d} has no update into its memory")
+            if (d, nxt) not in seen:
+                seen.add((d, nxt))
+                todo.append((d, nxt))
 
 
 def _mem(v):
@@ -114,12 +138,11 @@ def cmd_check(args):
 def _emit_stages(ctx, directory):
     os.makedirs(directory, exist_ok=True)
     for i, s in enumerate(ctx.stages, start=1):
-        if "apt" in s and "npt" in s:
-            base = os.path.join(directory, f"stage{i:02d}")
-            with open(base + "_apt.txt", "w") as fh:
-                fh.write(dump_apt(s["apt"], "apt"))
-            with open(base + "_npt.txt", "w") as fh:
-                fh.write(dump_apt(s["npt"], "npt"))
+        base = os.path.join(directory, f"stage{i:02d}")
+        with open(base + "_apt.txt", "w") as fh:
+            fh.write(dump_apt(s["apt"], "apt"))
+        with open(base + "_npt.txt", "w") as fh:
+            fh.write(dump_apt(s["npt"], "npt"))
 
 
 def cmd_info(args):
@@ -151,13 +174,22 @@ def _yn(b):
 
 def _gen_formula(kind, cgs, objectives, k):
     agents = list(cgs.agents)
+    if kind == "winning-count":
+        protagonist, others = agents[0], agents[1:]
+        goals = objectives[protagonist].goals
+        if len(goals) != 1:
+            raise ModelError(
+                f"winning-count needs exactly one goal for {protagonist!r}, found {len(goals)}"
+            )
+        return sol.winning_count_formula(
+            k, protagonist, others, "x", [f"y{i+1}" for i in range(len(others))], goals[0]
+        )
     n = len(agents)
     xvars = [f"x{i+1}" for i in range(n)]
     yvars = [f"y{i+1}" for i in range(n)]
     zvars = [f"z{i+1}" for i in range(n)]
-    cls = sol.classify_payoffs(objectives)
     single_goal = all(len(o.goals) == 1 for o in objectives.values())
-    if cls.win_lose and single_goal:
+    if sol.is_win_lose(objectives) and single_goal:
         goals = [objectives[a].goals[0] for a in agents]
         ne = sol.ne_formula_winlose(agents, xvars, yvars, goals)
     else:
@@ -171,13 +203,6 @@ def _gen_formula(kind, cgs, objectives, k):
         return spe
     if kind == "unique-spe":
         return sol.uniqueness_formula(xvars, spe)
-    if kind == "winning-count":
-        protagonist = agents[0]
-        others = agents[1:]
-        goal = objectives[protagonist].goals[0]
-        return sol.winning_count_formula(
-            k, protagonist, others, "x", [f"y{i+1}" for i in range(len(others))], goal
-        )
     raise ParseError(f"unknown generator kind {kind!r}")
 
 

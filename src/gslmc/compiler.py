@@ -5,7 +5,8 @@ structure, into an automaton over (valuation, state)-labeled trees whose
 directions are the game states: the tree encodes an assignment of finite
 strategies to the names in V, and the automaton accepts exactly the
 encodings of satisfying assignments.  Checking a sentence is then a single
-membership test of the structure's unwinding.
+membership test of the encoding of the empty assignment, which is the
+structure's unwinding.
 
 Graded quantifier blocks are eliminated by conjoining renamed copies of the
 body automaton with a pairwise-distinctness automaton, removing alternation
@@ -30,7 +31,6 @@ from gslmc.automata import (
     project,
     relabel,
     simplify,
-    unwinding_tree,
 )
 from gslmc.determinize import nondeterminize, DEFAULT_BUDGET
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
@@ -100,12 +100,16 @@ def compile_formula(f, cgs, mode="block", budget=DEFAULT_BUDGET):
 
 
 def check_sentence(f, cgs, mode="block", budget=DEFAULT_BUDGET):
-    """Does the sentence f hold at the initial state of cgs?"""
+    """Does the sentence f hold at the initial state of cgs?
+
+    Checked on the encoding tree of the empty assignment; f is compiled here,
+    not through check_assignment, which would add a frame to the recursion.
+    """
     if not fm.is_sentence(f, set(cgs.agents)):
         raise ModelError("formula is not a sentence over the structure's agents")
     apt, names, ctx = compile_formula(f, cgs, mode=mode, budget=budget)
     assert not names
-    return member(apt, unwinding_tree(cgs)), ctx
+    return member(apt, encoding_tree(cgs, {})), ctx
 
 
 def check_assignment(f, cgs, assignment, mode="block", budget=DEFAULT_BUDGET):

@@ -470,43 +470,28 @@ def is_sentence(f, agents):
     return not free_placeholders(f, agents)
 
 
-def rename_free_vars(f, mapping):
-    """Rename free variable occurrences per mapping (capture respected)."""
-    if not mapping:
-        return f
+def subformulas(f):
+    """The immediate subformulas of f: (), (sub,) or (left, right).
+
+    The walks built on it recurse through explicit loops: a generator
+    expression or a map would add a frame per level.
+    """
     if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(rename_free_vars(f.sub, mapping))
-    if isinstance(f, Or):
-        return Or(rename_free_vars(f.left, mapping), rename_free_vars(f.right, mapping))
-    if isinstance(f, Next):
-        return Next(rename_free_vars(f.sub, mapping))
-    if isinstance(f, Until):
-        return Until(
-            rename_free_vars(f.left, mapping), rename_free_vars(f.right, mapping)
-        )
-    if isinstance(f, ExistsGraded):
-        inner = {k: v for k, v in mapping.items() if k not in f.vars}
-        return ExistsGraded(f.vars, f.grade, rename_free_vars(f.sub, inner))
-    if isinstance(f, Bind):
-        var = mapping.get(f.var, f.var)
-        return Bind(f.agent, var, rename_free_vars(f.sub, mapping))
+        return ()
+    if isinstance(f, (Not, Next, ExistsGraded, Bind)):
+        return (f.sub,)
+    if isinstance(f, (Or, Until)):
+        return (f.left, f.right)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def grades_all_finite(f):
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, (Not, Next)):
-        return grades_all_finite(f.sub)
-    if isinstance(f, (Or, Until)):
-        return grades_all_finite(f.left) and grades_all_finite(f.right)
-    if isinstance(f, ExistsGraded):
-        return f.grade.is_finite and grades_all_finite(f.sub)
-    if isinstance(f, Bind):
-        return grades_all_finite(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, ExistsGraded) and not f.grade.is_finite:
+        return False
+    for g in subformulas(f):
+        if not grades_all_finite(g):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +536,10 @@ def strip_prefix(f):
 
 def strip_same_type_block(f):
     """Maximal same-type quantifier block at the head of f."""
-    prefix, _ = strip_prefix(f)
     block = []
-    for kind, variables, grade in prefix:
-        if block and kind != block[0][0]:
-            break
+    while (m := strip_quantifier(f)) is not None and (not block or m[0] == block[0][0]):
+        kind, variables, grade, f = m
         block.append((kind, variables, grade))
-        m = strip_quantifier(f)
-        f = m[3]
     return block, f
 
 
@@ -574,45 +555,34 @@ def quantifier_rank(f):
     prefix, body = strip_prefix(f)
     if prefix:
         return len(prefix) + quantifier_rank(body)
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, (Not, Next)):
-        return quantifier_rank(f.sub)
-    if isinstance(f, (Or, Until)):
-        return max(quantifier_rank(f.left), quantifier_rank(f.right))
-    if isinstance(f, Bind):
-        return quantifier_rank(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    rank = 0
+    for g in subformulas(f):
+        rank = max(rank, quantifier_rank(g))
+    return rank
+
+
+def _switches(prefix):
+    return sum(1 for a, b in zip(prefix, prefix[1:]) if a[0] != b[0])
 
 
 def quantifier_block_rank(f):
     prefix, body = strip_prefix(f)
     if prefix:
-        blocks = 1 + sum(
-            1 for a, b in zip(prefix, prefix[1:]) if a[0] != b[0]
-        )
-        return blocks + quantifier_block_rank(body)
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, (Not, Next)):
-        return quantifier_block_rank(f.sub)
-    if isinstance(f, (Or, Until)):
-        return max(quantifier_block_rank(f.left), quantifier_block_rank(f.right))
-    if isinstance(f, Bind):
-        return quantifier_block_rank(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+        return 1 + _switches(prefix) + quantifier_block_rank(body)
+    rank = 0
+    for g in subformulas(f):
+        rank = max(rank, quantifier_block_rank(g))
+    return rank
 
 
 def _is_nested_goal(f, agents):
-    m = strip_quantifier(f)
-    if m is not None:
-        prefix, body = strip_prefix(f)
-        if free_placeholders(body, agents) & frozenset(agents):
+    prefix, body = strip_prefix(f)
+    if prefix:
+        free = free_placeholders(body, agents)
+        if free & frozenset(agents):
             return False
         quantified = [v for _, variables, _ in prefix for v in variables]
-        if len(set(quantified)) != len(quantified):
-            return False
-        if set(quantified) != set(free_placeholders(body, agents)):
+        if len(set(quantified)) != len(quantified) or set(quantified) != free:
             return False
         return _is_nested_goal(body, agents)
     if isinstance(f, Bind):
@@ -621,54 +591,42 @@ def _is_nested_goal(f, agents):
         if sorted(bound) != sorted(set(agents)):
             return False
         return _is_nested_goal(body, agents)
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, (Not, Next)):
-        return _is_nested_goal(f.sub, agents)
-    if isinstance(f, (Or, Until)):
-        return _is_nested_goal(f.left, agents) and _is_nested_goal(f.right, agents)
-    raise TypeError(f"not a formula: {f!r}")
+    for g in subformulas(f):
+        if not _is_nested_goal(g, agents):
+            return False
+    return True
 
 
 def _is_one_goal(f, agents):
-    m = strip_quantifier(f)
-    if m is not None:
-        prefix, rest = strip_prefix(f)
-        bindings, body = strip_binding_prefix(rest)
+    prefix, goal = strip_prefix(f)
+    if prefix:
+        bindings, body = strip_binding_prefix(goal)
         bound = [a for a, _ in bindings]
         if sorted(bound) != sorted(set(agents)):
             return False
         quantified = [v for _, variables, _ in prefix for v in variables]
-        goal = rest
         if len(set(quantified)) != len(quantified):
             return False
-        if set(quantified) != set(free_placeholders(goal, agents)):
+        if set(quantified) != free_placeholders(goal, agents):
             return False
         return _is_one_goal(body, agents)
     if isinstance(f, Bind):
         return False
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, (Not, Next)):
-        return _is_one_goal(f.sub, agents)
-    if isinstance(f, (Or, Until)):
-        return _is_one_goal(f.left, agents) and _is_one_goal(f.right, agents)
-    raise TypeError(f"not a formula: {f!r}")
+    for g in subformulas(f):
+        if not _is_one_goal(g, agents):
+            return False
+    return True
 
 
 def alternation_number(f):
     """Quantifier-switch count for Nested-Goal formulas (see analyze_fragment)."""
     prefix, body = strip_prefix(f)
     if prefix:
-        switches = sum(1 for a, b in zip(prefix, prefix[1:]) if a[0] != b[0])
-        return max(switches, alternation_number(body))
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, (Not, Next, Bind)):
-        return alternation_number(f.sub)
-    if isinstance(f, (Or, Until)):
-        return max(alternation_number(f.left), alternation_number(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+        return max(_switches(prefix), alternation_number(body))
+    n = 0
+    for g in subformulas(f):
+        n = max(n, alternation_number(g))
+    return n
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def enumerate_strategies(cgs, memory_bound, budget=DEFAULT_PROFILE_BUDGET):
     return out
 
 
-def strategy_signature(cgs, strat, start, init_mem=None):
+def strategy_signature(cgs, strat, start):
     """Canonical form of the history->action function a machine computes
     from the given start state.
 
@@ -55,8 +55,7 @@ def strategy_signature(cgs, strat, start, init_mem=None):
     on the reachable product with the state graph) before BFS ordering, so
     two machines share a signature iff they act identically on every
     history from start."""
-    mem0 = strat.init if init_mem is None else init_mem
-    root = (mem0, start)
+    root = (strat.init, start)
     nodes = [root]
     seen = {root}
     i = 0

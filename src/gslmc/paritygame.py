@@ -122,14 +122,6 @@ class ParityGame:
             in_attr[frontier] = True
         return in_attr, strat
 
-    def dump(self):
-        """One vertex per line: id, owner, priority, successor list."""
-        lines = []
-        for v in range(self.n):
-            succ = " ".join(str(w) for w in self.successors_of(v))
-            lines.append(f"{v} {int(self.owner[v])} {int(self.priority[v])} {succ}")
-        return "\n".join(lines) + "\n"
-
 
 def _first_successors_in(game, vs, mask):
     """For each vertex of vs, its first successor inside mask (-1 if none)."""

@@ -116,19 +116,6 @@ def atoms(f, memo=None):
     return out
 
 
-def evaluate(f, chosen):
-    """Truth of f when exactly the moves in `chosen` are set to true."""
-    if f == TRUE:
-        return True
-    if f == FALSE:
-        return False
-    if f[0] == "a":
-        return f[1] in chosen
-    if f[0] == "&":
-        return all(evaluate(k, chosen) for k in f[1])
-    return any(evaluate(k, chosen) for k in f[1])
-
-
 def _antichain(sets):
     out = []
     for s in sorted(sets, key=len):

@@ -17,13 +17,12 @@ MAX_GOALS = 8
 
 def is_ltl(f):
     """True when f uses no strategy quantifier and no binding."""
-    if isinstance(f, fm.Atom):
-        return True
-    if isinstance(f, (fm.Not, fm.Next)):
-        return is_ltl(f.sub)
-    if isinstance(f, (fm.Or, fm.Until)):
-        return is_ltl(f.left) and is_ltl(f.right)
-    return False
+    if isinstance(f, (fm.ExistsGraded, fm.Bind)):
+        return False
+    for g in fm.subformulas(f):
+        if not is_ltl(g):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -66,23 +65,9 @@ def load_objectives(doc, cgs):
     return out
 
 
-@dataclass(frozen=True)
-class PayoffClassification:
-    win_lose: bool
-    zero_sum: bool
-
-
-def classify_payoffs(objectives):
-    """win/lose: every payoff is -1 or 1.  Zero-sum is claimed only in the
-    clear-cut case of identical goal tuples whose payoffs cancel."""
-    values = [v for obj in objectives.values() for v in obj.payoff.values()]
-    win_lose = all(v in (-1, 1) for v in values)
-    objs = list(objectives.values())
-    same_goals = all(o.goals == objs[0].goals for o in objs)
-    zero_sum = same_goals and all(
-        sum(o.payoff[h] for o in objs) == 0 for h in objs[0].vectors()
-    )
-    return PayoffClassification(win_lose, zero_sum)
+def is_win_lose(objectives):
+    """Every payoff is -1 or 1."""
+    return all(v in (-1, 1) for obj in objectives.values() for v in obj.payoff.values())
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +117,7 @@ def ne_formula_winlose(agents, xvars, yvars, goals):
     return _forall_each(list(yvars), fm.big_and(conj))
 
 
-def ne_formula_general(agents, xvars, yvars, objectives, omit_trivial=True):
+def ne_formula_general(agents, xvars, yvars, objectives):
     """General-payoff equilibrium: whatever truth pattern a deviation
     produces, the profile achieves a pattern paying at least as much."""
     conj = []
@@ -142,7 +127,7 @@ def ne_formula_general(agents, xvars, yvars, objectives, omit_trivial=True):
         devs[i] = yvars[i]
         for h in obj.vectors():
             good = gd_set(obj, h)
-            if omit_trivial and len(good) == len(obj.vectors()):
+            if len(good) == len(obj.vectors()):
                 continue  # a worst-payoff pattern constrains nothing
             lhs = bind_all(agents, devs, eta_formula(obj, h))
             rhs = fm.big_or([bind_all(agents, xvars, eta_formula(obj, v)) for v in good])

@@ -12,15 +12,15 @@ from gslmc.automata import (
     disjoin,
     distinctness_apt,
     dualize,
+    encoding_tree,
     is_npt,
     member,
     project,
-    reject_all,
     relabel,
     simplify,
-    unwinding_tree,
 )
 from gslmc.cgs import load_cgs
+from gslmc.determinize import DEFAULT_BUDGET
 from conftest import TOGGLE
 
 
@@ -41,6 +41,11 @@ def random_apt(rng, max_states=4, max_pr=3, alpha=(0, 1), dirs=(0, 1)):
     trans = {(q, a): random_posbool(rng, dirs, nq) for q in range(nq) for a in alpha}
     prio = {q: rng.randrange(max_pr) for q in range(nq)}
     return Apt(tuple(alpha), tuple(dirs), nq, 0, trans, prio)
+
+
+def reject_all(alphabet, directions):
+    trans = {(0, a): pb.FALSE for a in alphabet}
+    return Apt(tuple(alphabet), tuple(directions), 1, 0, trans, {0: 0})
 
 
 def random_tree(rng, alpha, dirs, max_nodes=3):
@@ -91,7 +96,7 @@ class TestSimplify:
     def test_membership_preserved(self, rng):
         for _ in range(20):
             a = random_apt(rng)
-            s = simplify(a)
+            s = simplify(a, DEFAULT_BUDGET)
             assert s.n_states <= a.n_states
             for _ in range(10):
                 t = random_tree(rng, a.alphabet, a.directions)
@@ -222,7 +227,9 @@ class TestProjection:
 class TestUnwinding:
     def test_unwinding_labels_follow_states(self):
         cgs = load_cgs(TOGGLE)
-        t = unwinding_tree(cgs)
+        # the empty assignment's encoding is the unwinding a sentence is checked on
+        t = encoding_tree(cgs, {})
         assert t.letter(t.root) == ((), "s0")
-        assert t.child("s0", "s1") == "s1"
-        assert t.letter("s1") == ((), "s1")
+        s1 = t.child(t.root, "s1")
+        assert t.letter(s1) == ((), "s1")
+        assert t.child(s1, "s0") == t.root

@@ -128,11 +128,14 @@ class TestNestingBound:
     @pytest.mark.parametrize("kind", sorted(NESTING))
     def test_bound_checks_and_one_more_level_is_a_parse_error(self, capsys, toggle_path, kind):
         deepest = NESTING[kind](fm.MAX_NESTING)
+        # the analysis walks of `info` at the bound, for every kind
+        code, out, err = run(capsys, "info", toggle_path, "-f", deepest)
+        assert code == 0 and not err
         # checking a block of ~100 quantified variables is exponential in the
-        # block, so quantifier nesting stops at the analysis walks of `info`
-        cmd = "info" if kind in ("exists", "forall") else "check"
-        code, out, err = run(capsys, cmd, toggle_path, "-f", deepest)
-        assert code in (0, 1) and not err
+        # block, so quantifier nesting stops at `info`
+        if kind not in ("exists", "forall"):
+            code, out, err = run(capsys, "check", toggle_path, "-f", deepest)
+            assert code in (0, 1) and not err
         code, out, err = run(capsys, "check", toggle_path, "-f", NESTING[kind](fm.MAX_NESTING + 1))
         assert code == 2 and not out
         assert f"nests deeper than {fm.MAX_NESTING} levels" in err
@@ -191,22 +194,44 @@ class TestStatsAndStages:
         assert out1 == out2
 
 
+def constant_machine():
+    return {
+        "memory": [0],
+        "init": 0,
+        "update": {"0,s0": 0, "0,s1": 0},
+        "output": {"0,s0": "a", "0,s1": "a"},
+    }
+
+
 class TestAssign:
     def test_assignment_check(self, capsys, toggle_path, tmp_path):
-        machines = {
-            "x": {
-                "memory": [0],
-                "init": 0,
-                "update": {"0,s0": 0, "0,s1": 0},
-                "output": {"0,s0": "a", "0,s1": "a"},
-            }
-        }
+        machines = {"x": constant_machine()}
         p = tmp_path / "assign.json"
         p.write_text(json.dumps(machines))
         code, out, _ = run(
             capsys, "check", toggle_path, "-f", "(a0,x) X p", "--assign", str(p)
         )
         assert code == 0 and "HOLDS" in out
+
+    @pytest.mark.parametrize("cmd", ["check", "oracle"])
+    @pytest.mark.parametrize(
+        "table, cell, value",
+        [("update", "0,s1", None), ("update", "0,s0", 5), ("output", "0,s1", "c")],
+        ids=["missing-update", "undeclared-memory", "unknown-action"],
+    )
+    def test_broken_machine_is_a_model_error(
+        self, capsys, toggle_path, tmp_path, cmd, table, cell, value
+    ):
+        machine = constant_machine()
+        if value is None:
+            del machine[table][cell]
+        else:
+            machine[table][cell] = value
+        p = tmp_path / "assign.json"
+        p.write_text(json.dumps({"x": machine}))
+        code, out, err = run(capsys, cmd, toggle_path, "-f", "(a0,x) X p", "--assign", str(p))
+        assert code == 3 and not out
+        assert f"machine 'x': cell {cell} " in err
 
 
 class TestInfo:
@@ -269,6 +294,19 @@ class TestGen:
             capsys, "gen", "winning-count", single_path, "--objectives", str(op), "--k", "2"
         )
         assert code == 0 and ">=2" in out and ">=3" in out
+
+    def test_winning_count_without_a_goal_is_a_model_error(self, capsys, single_path, tmp_path):
+        obj = {
+            "agents": {
+                "a0": {"goals": [], "payoff": {"": 1}},
+                "a1": {"goals": ["F p"], "payoff": {"1": 1, "0": -1}},
+            }
+        }
+        op = tmp_path / "obj.json"
+        op.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "gen", "winning-count", single_path, "--objectives", str(op))
+        assert code == 3 and not out
+        assert "exactly one goal" in err and "'a0'" in err
 
 
 class TestOracle:

@@ -16,10 +16,10 @@ from gslmc.errors import ModelError
 from gslmc.solutions import (
     ObjectiveTuple,
     bind_all,
-    classify_payoffs,
     eta_formula,
     gd_set,
     is_ltl,
+    is_win_lose,
     load_objectives,
     ne_formula_general,
     ne_formula_winlose,
@@ -94,13 +94,11 @@ class TestClassify:
             "a0": ObjectiveTuple((FP,), {"1": 1, "0": -1}),
             "a1": ObjectiveTuple((FP,), {"1": -1, "0": 1}),
         }
-        c = classify_payoffs(objs)
-        assert c.win_lose and c.zero_sum
+        assert is_win_lose(objs)
 
     def test_general_payoffs(self):
         objs = {"a0": ObjectiveTuple((FP,), {"1": 3, "0": 0})}
-        c = classify_payoffs(objs)
-        assert not c.win_lose and not c.zero_sum
+        assert not is_win_lose(objs)
 
 
 class TestGdEta:
