@@ -8,6 +8,7 @@ Trees are presented by finite generators (RegularTree): a total transducer
 assigning every node a letter and a child node per direction.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from gslmc import posbool as pb
@@ -46,7 +47,10 @@ def dualize(a):
     return Apt(a.alphabet, a.directions, a.n_states, a.initial, trans, priority)
 
 
-def _combine(a, b, op):
+def join(a, b, fresh, fresh_priority):
+    """a and b side by side, b's states after a's, plus one fresh initial
+    state whose transition on each letter is fresh(letter, fa, fb), where fa
+    and fb are the transitions of a's and b's initial states."""
     if set(a.alphabet) != set(b.alphabet) or set(a.directions) != set(b.directions):
         raise ModelError("automata must share alphabet and directions")
     off = a.n_states
@@ -54,31 +58,29 @@ def _combine(a, b, op):
     trans = dict(a.trans)
 
     def shift(move):
-        d, q = move
-        return (d, q + off)
+        return (move[0], move[1] + off)
 
     memo = {}
     for (q, letter), f in b.trans.items():
         trans[(q + off, letter)] = pb.map_atoms(f, shift, memo)
     for letter in a.alphabet:
-        fa = a.trans[(a.initial, letter)]
         fb = pb.map_atoms(b.trans[(b.initial, letter)], shift, memo)
-        trans[(new0, letter)] = op([fa, fb])
+        trans[(new0, letter)] = fresh(letter, a.trans[(a.initial, letter)], fb)
     priority = dict(a.priority)
     for q, p in b.priority.items():
         priority[q + off] = p
-    priority[new0] = a.priority[a.initial]
+    priority[new0] = fresh_priority
     return Apt(a.alphabet, a.directions, new0 + 1, new0, trans, priority)
 
 
 def conjoin(a, b):
     """Language intersection via a fresh initial state."""
-    return _combine(a, b, pb.conj)
+    return join(a, b, lambda _letter, fa, fb: pb.conj([fa, fb]), a.priority[a.initial])
 
 
 def disjoin(a, b):
     """Language union via a fresh initial state."""
-    return _combine(a, b, pb.disj)
+    return join(a, b, lambda _letter, fa, fb: pb.disj([fa, fb]), a.priority[a.initial])
 
 
 def conjoin_all(automata):
@@ -90,10 +92,11 @@ def conjoin_all(automata):
 
 def relabel(a, new_alphabet, h):
     """Automaton over new_alphabet with delta'(q, s) = delta(q, h(s))."""
+    old = [h(letter) for letter in new_alphabet]
     trans = {}
     for q in range(a.n_states):
-        for letter in new_alphabet:
-            trans[(q, letter)] = a.trans[(q, h(letter))]
+        for letter, o in zip(new_alphabet, old):
+            trans[(q, letter)] = a.trans[(q, o)]
     return Apt(tuple(new_alphabet), a.directions, a.n_states, a.initial, trans, dict(a.priority))
 
 
@@ -101,15 +104,14 @@ def relabel(a, new_alphabet, h):
 # distinctness automaton
 
 
-def distinctness_apt(grid, alphabet, directions, allowed_dirs=None):
+def distinctness_apt(grid, alphabet, directions, allowed_dirs):
     """Accepts trees where every pair of copies differs somewhere.
 
     grid[j] is the tuple of placeholder names of copy j (all the same
     length); letters are (valuation, state) pairs with the valuation given
     as a sorted tuple of (name, action) items.  For every pair of copies a
     walker state guesses a path to a node whose valuation separates them;
-    allowed_dirs(letter) restricts which directions the walker may take
-    (defaults to all).
+    allowed_dirs(letter) gives the directions the walker may take.
 
     For fewer than two copies distinctness is vacuous: accept everything.
     """
@@ -119,10 +121,7 @@ def distinctness_apt(grid, alphabet, directions, allowed_dirs=None):
     n = len(grid[0])
     if any(len(col) != n for col in grid):
         raise ValueError("all copies must have the same arity")
-    if allowed_dirs is None:
-        allowed = {letter: tuple(directions) for letter in alphabet}
-    else:
-        allowed = {letter: tuple(allowed_dirs(letter)) for letter in alphabet}
+    allowed = {letter: tuple(allowed_dirs(letter)) for letter in alphabet}
 
     pairs = [(a, b) for a in range(g) for b in range(a + 1, g)]
     # state 0: initial (conjunction over all pairs); state 1 + i: walker of pair i
@@ -263,8 +262,9 @@ def membership_game(a, tree):
     transition formula's structure; Verifier owns disjunctions, Refuter
     conjunctions.  Returns (game, index of the initial position).
     """
+    alphabet = set(a.alphabet)
     for node in tree.nodes:
-        if tree.letter(node) not in set(a.alphabet):
+        if tree.letter(node) not in alphabet:
             raise ModelError(f"tree letter {tree.letter(node)!r} not in the alphabet")
         for d in a.directions:
             if (node, d) not in tree.children:
@@ -274,68 +274,45 @@ def membership_game(a, tree):
     owners = []
     prios = []
     succs = []
+    queue = deque()  # state positions whose transition is still unexpanded
 
-    def intern(key, owner, prio):
-        if key in positions:
-            return positions[key]
-        idx = len(owners)
-        positions[key] = idx
+    def add(key, owner, prio):
+        idx = positions[key] = len(owners)
         owners.append(owner)
         prios.append(prio)
         succs.append([])
         return idx
 
-    from collections import deque
-
     def state_pos(node, q):
-        return intern(("q", node, q), VERIFIER, a.priority[q])
+        idx = positions.get(("q", node, q))
+        if idx is None:
+            idx = add(("q", node, q), VERIFIER, a.priority[q])
+            queue.append((node, q, idx))
+        return idx
+
+    def formula_pos(node, f):
+        key = ("f", node, f)
+        idx = positions.get(key)
+        if idx is not None:
+            return idx
+        if f == pb.TRUE or f == pb.FALSE:
+            # a self-loop: even priority, Verifier wins; odd, Verifier loses
+            idx = add(key, VERIFIER, 0 if f == pb.TRUE else 1)
+            succs[idx].append(idx)
+        elif f[0] == "a":
+            d, q2 = f[1]
+            idx = add(key, VERIFIER, neutral)
+            succs[idx].append(state_pos(tree.child(node, d), q2))
+        else:
+            idx = add(key, VERIFIER if f[0] == "|" else 1 - VERIFIER, neutral)
+            succs[idx].extend([formula_pos(node, k) for k in f[1]])
+        return idx
 
     start = state_pos(tree.root, a.initial)
-    queue = deque([(tree.root, a.initial)])
-    seen = {(tree.root, a.initial)}
     while queue:
-        node, q = queue.popleft()
-        f = a.trans[(q, tree.letter(node))]
-        fidx = _expand_formula(
-            node, f, tree, a, intern, state_pos, succs, neutral, queue, seen
-        )
-        succs[positions[("q", node, q)]].append(fidx)
-    game = ParityGame(owners, prios, succs)
-    return game, start
-
-
-def _expand_formula(node, f, tree, a, intern, state_pos, succs, neutral, queue, seen):
-    key = ("f", node, f)
-    if f == pb.TRUE:
-        idx = intern(key, VERIFIER, 0)
-        if not succs[idx]:
-            succs[idx].append(idx)  # even self-loop: Verifier wins
-        return idx
-    if f == pb.FALSE:
-        idx = intern(key, VERIFIER, 1)
-        if not succs[idx]:
-            succs[idx].append(idx)  # odd self-loop: Verifier loses
-        return idx
-    if f[0] == "a":
-        d, q2 = f[1]
-        idx = intern(key, VERIFIER, neutral)
-        child = tree.child(node, d)
-        tgt = state_pos(child, q2)
-        if not succs[idx]:
-            succs[idx].append(tgt)
-            if (child, q2) not in seen:
-                seen.add((child, q2))
-                queue.append((child, q2))
-        return idx
-    owner = VERIFIER if f[0] == "|" else 1 - VERIFIER
-    idx = intern(key, owner, neutral)
-    if not succs[idx]:
-        kids = [
-            _expand_formula(node, k, tree, a, intern, state_pos, succs, neutral, queue, seen)
-            for k in f[1]
-        ]
-        succs[idx].extend(kids)
-    return idx
+        node, q, idx = queue.popleft()
+        succs[idx].append(formula_pos(node, a.trans[(q, tree.letter(node))]))
+    return ParityGame(owners, prios, succs), start
 
 
 def member(a, tree):
@@ -432,21 +409,7 @@ def _restrict_reachable(a):
                 if q2 not in reach:
                     reach.add(q2)
                     frontier.append(q2)
-    if len(reach) == a.n_states:
-        return a
-    order = sorted(reach)
-    remap = {q: i for i, q in enumerate(order)}
-
-    def rename(m):
-        return (m[0], remap[m[1]])
-
-    memo = {}
-    trans = {}
-    for q in order:
-        for letter in a.alphabet:
-            trans[(remap[q], letter)] = pb.map_atoms(a.trans[(q, letter)], rename, memo)
-    priority = {remap[q]: a.priority[q] for q in order}
-    return Apt(a.alphabet, a.directions, len(order), remap[a.initial], trans, priority)
+    return _renumber(a, {q: q for q in reach})
 
 
 def _merge_equivalent(a):
@@ -454,27 +417,29 @@ def _merge_equivalent(a):
     rep = {}
     for q in range(a.n_states):
         key = (a.priority[q], tuple(a.trans[(q, letter)] for letter in a.alphabet))
-        if key in sig:
-            rep[q] = sig[key]
-        else:
-            sig[key] = q
-            rep[q] = q
-    classes = sorted(set(rep.values()))
-    if len(classes) == a.n_states:
+        rep[q] = sig.setdefault(key, q)
+    return _renumber(a, rep)
+
+
+def _renumber(a, rep):
+    """a on the states rep maps onto, numbered in ascending order, every move
+    to q redirected to rep[q]; a itself when every state is kept."""
+    keep = sorted(set(rep.values()))
+    if len(keep) == a.n_states:
         return a
-    remap = {q: i for i, q in enumerate(classes)}
-    full = {q: remap[rep[q]] for q in range(a.n_states)}
+    new = {q: i for i, q in enumerate(keep)}
+    full = {q: new[r] for q, r in rep.items()}
 
     def rename(m):
         return (m[0], full[m[1]])
 
     memo = {}
     trans = {}
-    for q in classes:
+    for q in keep:
         for letter in a.alphabet:
-            trans[(remap[q], letter)] = pb.map_atoms(a.trans[(q, letter)], rename, memo)
-    priority = {remap[q]: a.priority[q] for q in classes}
-    return Apt(a.alphabet, a.directions, len(classes), full[a.initial], trans, priority)
+            trans[(new[q], letter)] = pb.map_atoms(a.trans[(q, letter)], rename, memo)
+    priority = {new[q]: a.priority[q] for q in keep}
+    return Apt(a.alphabet, a.directions, len(keep), full[a.initial], trans, priority)
 
 
 def compress_priorities(a):

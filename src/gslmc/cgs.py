@@ -137,12 +137,6 @@ class FiniteStrategy:
     update: dict  # (mem, state) -> mem
     output: dict  # (mem, state) -> action
 
-    def advance(self, mem, state):
-        return self.update[(mem, state)]
-
-    def action(self, mem, state):
-        return self.output[(mem, state)]
-
 
 def memoryless(cgs, choice):
     """Memoryless strategy from a state -> action map."""
@@ -189,11 +183,9 @@ def induced_play(cgs, start, profile):
     states = [start]
     while True:
         state, mems = cfg
-        dec = tuple(
-            profile[a].action(mems[order.index(a)], state) for a in cgs.agents
-        )
+        dec = tuple(profile[a].output[(mems[order.index(a)], state)] for a in cgs.agents)
         nxt = cgs.step(state, dec)
-        mems2 = tuple(profile[e].advance(m, nxt) for e, m in zip(order, mems))
+        mems2 = tuple(profile[e].update[(m, nxt)] for e, m in zip(order, mems))
         cfg = (nxt, mems2)
         if cfg in seen:
             k = seen[cfg]

@@ -24,7 +24,7 @@ from gslmc.errors import (
     ResourceBudgetError,
     UnsupportedGradeError,
 )
-from gslmc.oracle import EXACT, count_ne_memoryless, oracle_check
+from gslmc.oracle import DEFAULT_PROFILE_BUDGET, EXACT, count_ne_memoryless, oracle_check
 from gslmc import solutions as sol
 
 EXIT_HOLDS = 0
@@ -53,20 +53,35 @@ def _formula_text(args):
 def _load_assignment(path, cgs):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ModelError("an --assign document must map names to machine objects")
     out = {}
     for name, m in doc.items():
+        if not (
+            isinstance(m, dict)
+            and isinstance(m.get("memory"), list)
+            and all(isinstance(x, (int, str)) for x in [*m["memory"], m.get("init")])
+            and isinstance(m.get("update"), dict)
+            and isinstance(m.get("output"), dict)
+        ):
+            raise ModelError(
+                f"machine {name!r}: needs memory (a list), init, update and output (objects)"
+            )
         memory = tuple(_mem(x) for x in m["memory"])
-        update = {}
-        output = {}
-        for key, v in m["update"].items():
-            mem, state = key.split(",", 1)
-            update[(_mem(mem), state)] = _mem(v) if isinstance(v, str) else v
-        for key, v in m["output"].items():
-            mem, state = key.split(",", 1)
-            output[(_mem(mem), state)] = v
+        update = {cell: _mem(v) for cell, v in _cells(name, m["update"])}
+        output = dict(_cells(name, m["output"]))
         out[name] = FiniteStrategy(memory, _mem(m["init"]), update, output)
         _check_machine(name, out[name], cgs)
     return out
+
+
+def _cells(name, table):
+    """(memory, state) cells and values of a table keyed by "memory,state"."""
+    for key, v in table.items():
+        mem, comma, state = key.partition(",")
+        if not comma:
+            raise ModelError(f"machine {name!r}: key {key!r} is not \"memory,state\"")
+        yield (_mem(mem), state), v
 
 
 def _check_machine(name, machine, cgs):
@@ -284,13 +299,13 @@ def build_parser():
     o.add_argument("--require-exact", action="store_true")
     o.add_argument("--justify", metavar="REASON", help="mark the instance exact")
     o.add_argument("--assign", metavar="FILE")
-    o.add_argument("--budget", type=int, default=200_000)
+    o.add_argument("--budget", type=int, default=DEFAULT_PROFILE_BUDGET)
     o.set_defaults(run=cmd_oracle)
 
     ne = sub.add_parser("oracle-ne", help="count memoryless Nash equilibria")
     ne.add_argument("model")
     ne.add_argument("--objectives", required=True, metavar="FILE")
-    ne.add_argument("--budget", type=int, default=200_000)
+    ne.add_argument("--budget", type=int, default=DEFAULT_PROFILE_BUDGET)
     ne.set_defaults(run=cmd_oracle_ne)
 
     return ap

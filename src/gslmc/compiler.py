@@ -27,6 +27,7 @@ from gslmc.automata import (
     distinctness_apt,
     dualize,
     encoding_tree,
+    join,
     member,
     project,
     relabel,
@@ -62,9 +63,6 @@ class CompilationContext:
                 )
             self._alphabets[key] = assignment_alphabet(self.cgs, key)
         return self._alphabets[key]
-
-    def allowed_dirs(self, letter):
-        return self.cgs.successors(letter[1])
 
     def remove_alternation(self, apt, n_copies):
         out = nondeterminize(apt, budget=self.budget)
@@ -166,17 +164,25 @@ def _atom(p, ctx):
     return Apt(alpha, ctx.cgs.states, 1, 0, trans, {0: 0}), frozenset()
 
 
-def _lift(a, names, target, ctx):
-    """Re-read a's letters through valuations over the larger name set."""
-    if names == target:
+def _rename(a, source, names, ctx):
+    """Re-read a's letters through valuations over `names`: each name x of
+    a's valuation takes the action the new valuation gives source[x]."""
+    if source == {x: x for x in names}:
         return a
-    alpha = ctx.alphabet(target)
+    at = {x: i for i, x in enumerate(sorted(names))}
+    own = sorted(source)
+    picks = [at[source[x]] for x in own]
 
     def h(letter):
         val, q = letter
-        return (tuple(kv for kv in val if kv[0] in names), q)
+        return (tuple(zip(own, [val[i][1] for i in picks])), q)
 
-    return relabel(a, alpha, h)
+    return relabel(a, ctx.alphabet(names), h)
+
+
+def _lift(a, names, target, ctx):
+    """Re-read a's letters through valuations over the larger name set."""
+    return _rename(a, {x: x for x in names}, target, ctx)
 
 
 def _boolean(left, right, op, ctx):
@@ -217,46 +223,22 @@ def _until(left, right, ctx):
     names = na | nb | frozenset(ctx.cgs.agents)
     a = _lift(a, na, names, ctx)
     b = _lift(b, nb, names, ctx)
-    alpha = ctx.alphabet(names)
-    off = a.n_states
-    pend = a.n_states + b.n_states
-    trans = dict(a.trans)
+    pend = a.n_states + b.n_states  # the fresh state join adds
 
-    def shift(move):
-        return (move[0], move[1] + off)
+    def fresh(letter, fa, fb):
+        hold = pb.conj([fa, pb.atom((_play_direction(ctx, letter), pend))])
+        return pb.disj([fb, hold])
 
-    memo = {}
-    for (q, letter), g in b.trans.items():
-        trans[(q + off, letter)] = pb.map_atoms(g, shift, memo)
-    for letter in alpha:
-        d = _play_direction(ctx, letter)
-        hold = pb.conj([a.trans[(a.initial, letter)], pb.atom((d, pend))])
-        done = pb.map_atoms(b.trans[(b.initial, letter)], shift, memo)
-        trans[(pend, letter)] = pb.disj([done, hold])
-    priority = dict(a.priority)
-    for q, p in b.priority.items():
-        priority[q + off] = p
-    priority[pend] = 1  # waiting forever is losing
-    return Apt(alpha, ctx.cgs.states, pend + 1, pend, trans, priority), names
+    return join(a, b, fresh, 1), names  # waiting forever is losing
 
 
 def _bind(f, ctx):
     a, na = _compile(f.sub, ctx)
-    if f.agent not in na:
-        # redundant binding; the variable must still be readable
-        names = na | frozenset([f.var])
-        return _lift(a, na, names, ctx), names
-    names = (na - frozenset([f.agent])) | frozenset([f.var])
-    alpha = ctx.alphabet(names)
-
-    def h(letter):
-        val, q = letter
-        g = dict(val)
-        out = {x: g[x] for x in na if x != f.agent}
-        out[f.agent] = g[f.var]
-        return (tuple(sorted(out.items())), q)
-
-    return relabel(a, alpha, h), names
+    # the agent now reads the variable; a redundant binding still makes the
+    # variable readable
+    source = {x: (f.var if x == f.agent else x) for x in na}
+    names = frozenset(source.values()) | frozenset([f.var])
+    return _rename(a, source, names, ctx), names
 
 
 # ---------------------------------------------------------------------------
@@ -302,36 +284,24 @@ def _expand(quants, body, ctx):
         # "at least zero witnesses" holds vacuously
         return accept_all(ctx.alphabet(outer_names), ctx.cgs.states), (), outer_names
 
-    # the body may ignore a quantified variable; its coordinate still exists
-    sub_full_names = frozenset(sub_names) | frozenset(vars_) | frozenset(sub_coords)
-    sub = _lift(sub, frozenset(sub_names) | frozenset(sub_coords), sub_full_names, ctx)
-
-    copies = []
+    # every copy reads the block alphabet: its own renamed coordinates, and
+    # the coordinates of variables the body ignores still exist there
+    read = frozenset(sub_names) | frozenset(sub_coords)
+    sources = []
     all_coords = []
     grid = []
     for j in range(1, grade.value + 1):
-        ren = {v: _copy_name(v, j) for v in vars_}
-        ren.update({c: _copy_name(c, j) for c in sub_coords})
-        copy_names = frozenset(ren.get(x, x) for x in sub_full_names)
-        alpha = ctx.alphabet(copy_names)
-        inverse = {w: x for x, w in ren.items()}
-
-        def h(letter, inverse=inverse):
-            val, q = letter
-            return (
-                tuple(sorted((inverse.get(x, x), act) for x, act in val)),
-                q,
-            )
-
-        copies.append((relabel(sub, alpha, h), copy_names))
+        ren = {x: _copy_name(x, j) for x in (*vars_, *sub_coords)}
+        sources.append({x: ren.get(x, x) for x in read})
         all_coords.extend(sorted(ren.values()))
         grid.append(tuple(ren[v] for v in sorted(vars_)))
 
     big_names = outer_names | frozenset(all_coords)
-    alpha = ctx.alphabet(big_names)
-    lifted = [_lift(c, cn, big_names, ctx) for (c, cn) in copies]
-    combined = conjoin_all(lifted)
+    combined = conjoin_all([_rename(sub, src, big_names, ctx) for src in sources])
     if grade.value >= 2:
-        dist = distinctness_apt(tuple(grid), alpha, ctx.cgs.states, ctx.allowed_dirs)
+        dist = distinctness_apt(
+            tuple(grid), ctx.alphabet(big_names), ctx.cgs.states,
+            lambda letter: ctx.cgs.successors(letter[1]),
+        )
         combined = conjoin(combined, dist)
     return simplify(combined, budget=ctx.budget), tuple(all_coords), outer_names

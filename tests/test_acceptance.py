@@ -205,7 +205,7 @@ def test_criterion_4_automata_toolkit():
     # over every regular tree presented by a generator with <= 2 nodes
     dirs = ("d0", "d1")
     alphabet = tuple(((("u", au), ("v", av)), "s") for au in "ab" for av in "ab")
-    apt = distinctness_apt((("u",), ("v",)), alphabet, dirs)
+    apt = distinctness_apt((("u",), ("v",)), alphabet, dirs, lambda letter: dirs)
     n_scanned = 0
     for n in (1, 2):
         nodes = list(range(n))

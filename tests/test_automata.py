@@ -15,12 +15,14 @@ from gslmc.automata import (
     encoding_tree,
     is_npt,
     member,
+    membership_game,
     project,
     relabel,
     simplify,
 )
 from gslmc.cgs import load_cgs
 from gslmc.determinize import DEFAULT_BUDGET
+from gslmc.errors import ModelError
 from conftest import TOGGLE
 
 
@@ -79,6 +81,15 @@ class TestBooleanOperations:
             t = random_tree(rng, (0, 1), (0, 1))
             assert member(acc, t) and not member(rej, t)
 
+    @pytest.mark.parametrize("op", [conjoin, disjoin])
+    def test_combining_needs_shared_alphabet_and_directions(self, op):
+        a = accept_all((0, 1), (0, 1))
+        with pytest.raises(ModelError):
+            op(a, accept_all((0, 2), (0, 1)))
+        with pytest.raises(ModelError):
+            op(a, accept_all((0, 1), (0,)))
+        assert op(a, accept_all((1, 0), (1, 0))).n_states == 3
+
     def test_relabel_reads_through_mapping(self, rng):
         a = random_apt(rng, alpha=(0, 1))
         b = relabel(a, ("x", "y"), lambda s: 0 if s == "x" else 1)
@@ -121,7 +132,7 @@ class TestDistinctness:
             ((("u", au), ("v", av)), "s") for au in "ab" for av in "ab"
         )
         grid = (("u",), ("v",))
-        apt = distinctness_apt(grid, alphabet, dirs)
+        apt = distinctness_apt(grid, alphabet, dirs, lambda letter: dirs)
         for tree in self._all_small_trees(alphabet, dirs):
             # brute-force: difference must appear within |gen|^2 depth
             found = False
@@ -141,7 +152,7 @@ class TestDistinctness:
     def test_single_copy_is_vacuous(self, rng):
         alphabet = tuple((((("u", a),)), "s") for a in "ab")
         alphabet = tuple(((("u", a),), "s") for a in "ab")
-        apt = distinctness_apt((("u",),), alphabet, ("d0",))
+        apt = distinctness_apt((("u",),), alphabet, ("d0",), lambda letter: ("d0",))
         t = random_tree(rng, alphabet, ("d0",))
         assert member(apt, t)
 
@@ -154,10 +165,8 @@ class TestDistinctness:
         letters = {0: same, 1: diff}
         children = {(0, "d0"): 0, (0, "d1"): 1, (1, "d0"): 1, (1, "d1"): 1}
         tree = RegularTree(letters, children, 0)
-        free = distinctness_apt((("u",), ("v",)), alphabet, dirs)
-        caged = distinctness_apt(
-            (("u",), ("v",)), alphabet, dirs, allowed_dirs=lambda letter: ("d0",)
-        )
+        free = distinctness_apt((("u",), ("v",)), alphabet, dirs, lambda letter: dirs)
+        caged = distinctness_apt((("u",), ("v",)), alphabet, dirs, lambda letter: ("d0",))
         assert member(free, tree)
         assert not member(caged, tree)
 
@@ -181,8 +190,6 @@ class TestProjection:
             {(0, letter): pb.atom(("d0", 0)) for letter in alphabet},
             {0: 0},
         )
-        from gslmc.errors import ModelError
-
         with pytest.raises(ModelError):
             project(alternating, ("x",), ("a", "b"))
 
@@ -222,6 +229,20 @@ class TestProjection:
                 assert projected
             if not projected:
                 assert not witnessed
+
+
+class TestMembershipGame:
+    def test_tree_letter_outside_the_alphabet(self):
+        a = accept_all((0, 1), (0,))
+        tree = RegularTree({0: 0, 1: 2}, {(0, 0): 1, (1, 0): 0}, 0)
+        with pytest.raises(ModelError, match="not in the alphabet"):
+            membership_game(a, tree)
+
+    def test_generator_that_is_not_total(self):
+        a = accept_all((0, 1), (0, 1))
+        tree = RegularTree({0: 0}, {(0, 0): 0}, 0)
+        with pytest.raises(ModelError, match="not total"):
+            membership_game(a, tree)
 
 
 class TestUnwinding:

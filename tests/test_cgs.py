@@ -20,8 +20,8 @@ def action_on_history(strat, history):
     """The action a machine takes after the history s0 s1 ... sk."""
     mem = strat.init
     for s in history[1:]:
-        mem = strat.advance(mem, s)
-    return strat.action(mem, history[-1])
+        mem = strat.update[(mem, s)]
+    return strat.output[(mem, history[-1])]
 
 
 class TestLoading:

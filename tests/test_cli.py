@@ -203,6 +203,17 @@ def constant_machine():
     }
 
 
+def broken_machine(table, cell, value):
+    """A one-machine document whose table has its cell removed (value None)
+    or set to value."""
+    machine = constant_machine()
+    if value is None:
+        del machine[table][cell]
+    else:
+        machine[table][cell] = value
+    return {"x": machine}
+
+
 class TestAssign:
     def test_assignment_check(self, capsys, toggle_path, tmp_path):
         machines = {"x": constant_machine()}
@@ -215,23 +226,43 @@ class TestAssign:
 
     @pytest.mark.parametrize("cmd", ["check", "oracle"])
     @pytest.mark.parametrize(
-        "table, cell, value",
-        [("update", "0,s1", None), ("update", "0,s0", 5), ("output", "0,s1", "c")],
-        ids=["missing-update", "undeclared-memory", "unknown-action"],
+        "document, message",
+        [
+            pytest.param(
+                broken_machine("update", "0,s1", None), "machine 'x': cell 0,s1 ",
+                id="missing-update",
+            ),
+            pytest.param(
+                broken_machine("update", "0,s0", 5), "machine 'x': cell 0,s0 ",
+                id="undeclared-memory",
+            ),
+            pytest.param(
+                broken_machine("output", "0,s1", "c"), "machine 'x': cell 0,s1 ",
+                id="unknown-action",
+            ),
+            pytest.param(
+                broken_machine("update", "0s1", 0), "machine 'x': key '0s1' ",
+                id="key-without-comma",
+            ),
+            pytest.param(
+                [constant_machine()], "an --assign document must map names to machine objects",
+                id="list-document",
+            ),
+            pytest.param(
+                {"x": {k: v for k, v in constant_machine().items() if k != "update"}},
+                "machine 'x': needs memory (a list), init, update and output (objects)",
+                id="no-update-table",
+            ),
+        ],
     )
     def test_broken_machine_is_a_model_error(
-        self, capsys, toggle_path, tmp_path, cmd, table, cell, value
+        self, capsys, toggle_path, tmp_path, cmd, document, message
     ):
-        machine = constant_machine()
-        if value is None:
-            del machine[table][cell]
-        else:
-            machine[table][cell] = value
         p = tmp_path / "assign.json"
-        p.write_text(json.dumps({"x": machine}))
+        p.write_text(json.dumps(document))
         code, out, err = run(capsys, cmd, toggle_path, "-f", "(a0,x) X p", "--assign", str(p))
         assert code == 3 and not out
-        assert f"machine 'x': cell {cell} " in err
+        assert message in err
 
 
 class TestInfo:
