@@ -171,13 +171,39 @@ class TestNondeterminize:
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "examples_data")
 
-# SHA-256 of the --emit-stage files, concatenated in file-name order, of the
-# `gen unique-ne` sentence checked on the model
+# the verdict of the `gen unique-ne` sentence checked on the model, and the
+# SHA-256 of each of its --emit-stage files
 GOLDEN_STAGES = {
-    ("pennies.json", "pennies_obj.json"):
-        "c7ca3c72c3acdfb1409c29656a13ebb375e5b49dd0b6ed104698aae43a8207c3",
-    ("desk3.json", "desk3_next_obj.json"):
-        "20e190096c75762aa9fd21eb6a8ef0781b4004706f70ccf0b0dbceb092b0edef",
+    ("desk3.json", "desk3_next_obj.json"): ("FAILS", {
+        "stage01_apt.txt": "d078f528a4441bd1efddc692a6a2685be830e029b92ac71bb971a86167f7b681",
+        "stage01_npt.txt": "3b5853be764be8ab87d3d53274d68566070d4296ad8291341699c467a015b3cd",
+        "stage02_apt.txt": "8dfef0e8d6b2482602734dd04a388eb47625527467b0311b1d5b2f9cdae1d200",
+        "stage02_npt.txt": "c609b2556d16cddcc417129a4ad4e6f368c1f9e87e30003b6fdf57063d19bed6",
+        "stage03_apt.txt": "d078f528a4441bd1efddc692a6a2685be830e029b92ac71bb971a86167f7b681",
+        "stage03_npt.txt": "3b5853be764be8ab87d3d53274d68566070d4296ad8291341699c467a015b3cd",
+        "stage04_apt.txt": "85c39635e555b864962235b3e24ce7ee5ab02bdfee378cfeebc9582bc6cf2561",
+        "stage04_npt.txt": "74e652ef31f219b169793fe1a2d1b9e381cf9e1a2caec6d30e27ad3a000d0fa2",
+    }),
+    ("pennies.json", "pennies_obj.json"): ("FAILS", {
+        "stage01_apt.txt": "c6f029dcbe46d206ade1421974e8fdd13751437b6d3fa30a039004a546b24594",
+        "stage01_npt.txt": "fa90f385a64479c1b3114e1b156bc768012ddc0f6ddbebc0f0484fe2fda04ae6",
+        "stage02_apt.txt": "6a3631f0bb0c918482770d0dd1be44b57c879aa0cc7cfb3267cda65eb3629bda",
+        "stage02_npt.txt": "5d1a0aef15b367ea5107773fc36ea5e08dd70a2ef8770d61c92205e3506e3348",
+        "stage03_apt.txt": "c6f029dcbe46d206ade1421974e8fdd13751437b6d3fa30a039004a546b24594",
+        "stage03_npt.txt": "fa90f385a64479c1b3114e1b156bc768012ddc0f6ddbebc0f0484fe2fda04ae6",
+        "stage04_apt.txt": "c2c4b865bb8e4f5b34d466f4c8de55a5b2e660f874178ed22966aa284d7c5702",
+        "stage04_npt.txt": "13fff98811384c42c5fde38370b8b312b45d82032e5bab85a7bb5e452b813770",
+    }),
+    ("single.json", "single_obj.json"): ("HOLDS", {
+        "stage01_apt.txt": "1f3456af26edf2f117350096e6fb1fd974240937483fdd622d2c2c06130d29dd",
+        "stage01_npt.txt": "07410f47333e9a31c99fc62678d1c1d67006951dfdd7ef5821ee08124ce0ed18",
+        "stage02_apt.txt": "e74cd66d045cb9042c304059de4cf599318d51a285704de24c831b6ac34aa7c1",
+        "stage02_npt.txt": "e5bf40c4c29371a01db8169a7946db86b460a13a8e223a1247c163ece7a3684f",
+        "stage03_apt.txt": "1f3456af26edf2f117350096e6fb1fd974240937483fdd622d2c2c06130d29dd",
+        "stage03_npt.txt": "07410f47333e9a31c99fc62678d1c1d67006951dfdd7ef5821ee08124ce0ed18",
+        "stage04_apt.txt": "9659573a39cc10346ecd9ee734864899d14b284c5fe9cb71deb5db38ec242f32",
+        "stage04_npt.txt": "c1bd0bd28861b48f610ce10dba083c0fabb30e5365775589e891a90ca90df496",
+    }),
 }
 
 
@@ -188,25 +214,26 @@ def in_process(*argv):
     return code, out.getvalue()
 
 
-def stage_digest(run, model, objectives):
-    """Digest of the stage dumps of `gen unique-ne` checked on the model."""
+def stage_digests(run, model, objectives, verdict):
+    """SHA-256 per stage dump file of `gen unique-ne` checked on the model."""
     model, objectives = os.path.join(DATA, model), os.path.join(DATA, objectives)
     code, sentence = run("gen", "unique-ne", model, "--objectives", objectives)
     assert code == 0
     with tempfile.TemporaryDirectory() as stages:
         code, out = run("check", model, "-f", sentence.strip(), "--emit-stage", stages)
-        assert code == 1 and out.splitlines()[-1] == "FAILS"
-        digest = hashlib.sha256()
+        assert out.splitlines()[-1] == verdict and code == (0 if verdict == "HOLDS" else 1)
+        digests = {}
         for name in sorted(os.listdir(stages)):
             with open(os.path.join(stages, name), "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
 
 
 class TestGoldenStages:
     @pytest.mark.parametrize("model,objectives", sorted(GOLDEN_STAGES))
     def test_stage_dumps_match(self, model, objectives):
-        assert stage_digest(in_process, model, objectives) == GOLDEN_STAGES[(model, objectives)]
+        verdict, digests = GOLDEN_STAGES[(model, objectives)]
+        assert stage_digests(in_process, model, objectives, verdict) == digests
 
     def test_stage_dumps_match_under_another_hash_seed(self):
         seed = "2" if os.environ.get("PYTHONHASHSEED") != "2" else "5"
@@ -218,4 +245,5 @@ class TestGoldenStages:
             return done.returncode, done.stdout
 
         key = ("desk3.json", "desk3_next_obj.json")
-        assert stage_digest(run, *key) == GOLDEN_STAGES[key]
+        verdict, digests = GOLDEN_STAGES[key]
+        assert stage_digests(run, *key, verdict) == digests
