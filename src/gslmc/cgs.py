@@ -53,6 +53,11 @@ def load_cgs(document):
     agents = tuple(doc["agents"])
     actions = tuple(doc["actions"])
     states = tuple(doc["states"])
+    # names are compared and sorted with each other, and label keys are
+    # strings anyway
+    for kind, names in (("atom", atoms), ("agent", agents), ("action", actions), ("state", states)):
+        for x in names:
+            _require(isinstance(x, str), f"{kind} name {x!r} is not a string")
     _require(agents, "model needs at least one agent")
     _require(actions, "model needs at least one action")
     _require(states, "model needs at least one state")

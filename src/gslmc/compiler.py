@@ -192,14 +192,18 @@ def _boolean(left, right, op, ctx):
     return op(_lift(a, na, names, ctx), _lift(b, nb, names, ctx)), names
 
 
-def _play_direction(ctx, letter):
-    """Successor state prescribed by the agents' coordinates of a valuation."""
-    val = dict(letter[0])
-    try:
-        decision = tuple(val[a] for a in ctx.cgs.agents)
-    except KeyError as e:
-        raise ModelError(f"temporal operator with unbound agent {e.args[0]!r}")
-    return ctx.cgs.step(letter[1], decision)
+def _play_direction(ctx, names):
+    """The successor state that the agents' coordinates of a letter over
+    `names` prescribe, as a function of the letter."""
+    at = {x: i for i, x in enumerate(sorted(names))}
+    picks = [at[a] for a in ctx.cgs.agents]
+    step = ctx.cgs.step
+
+    def direction(letter):
+        val, q = letter
+        return step(q, tuple([val[i][1] for i in picks]))
+
+    return direction
 
 
 def _next(sub, ctx):
@@ -207,11 +211,11 @@ def _next(sub, ctx):
     names = na | frozenset(ctx.cgs.agents)
     a = _lift(a, na, names, ctx)
     alpha = ctx.alphabet(names)
+    direction = _play_direction(ctx, names)
     init = a.n_states
     trans = dict(a.trans)
     for letter in alpha:
-        d = _play_direction(ctx, letter)
-        trans[(init, letter)] = pb.atom((d, a.initial))
+        trans[(init, letter)] = pb.atom((direction(letter), a.initial))
     priority = dict(a.priority)
     priority[init] = 0
     return Apt(alpha, a.directions, a.n_states + 1, init, trans, priority), names
@@ -224,9 +228,10 @@ def _until(left, right, ctx):
     a = _lift(a, na, names, ctx)
     b = _lift(b, nb, names, ctx)
     pend = a.n_states + b.n_states  # the fresh state join adds
+    direction = _play_direction(ctx, names)
 
     def fresh(letter, fa, fb):
-        hold = pb.conj([fa, pb.atom((_play_direction(ctx, letter), pend))])
+        hold = pb.conj([fa, pb.atom((direction(letter), pend))])
         return pb.disj([fb, hold])
 
     return join(a, b, fresh, 1), names  # waiting forever is losing

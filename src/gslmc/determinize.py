@@ -4,7 +4,12 @@ An alternating automaton accepts a tree iff it has a run whose every branch
 carries only good traces (min-parity even along every path through the run
 slices).  The equivalent nondeterministic automaton guesses, per tree node,
 one transition choice for every active state and tracks, per branch, a
-deterministic word automaton that checks no bad trace exists:
+deterministic word automaton that checks every trace is good.
+
+When the priorities lie in {0, 1}, a trace is good iff it visits priority 0
+infinitely often, and the word automaton is the Miyano-Hayashi breakpoint
+construction over sets of states.  Otherwise it checks that no bad trace
+exists:
 
   1. a Buechi word automaton guesses a trace with odd limit priority,
   2. Safra's construction determinizes it to Rabin pairs over node names,
@@ -203,63 +208,101 @@ def iar_step(perm, marked, present):
 def nondeterminize(a, budget=DEFAULT_BUDGET):
     """Equivalent nondeterministic parity tree automaton.
 
-    Already-nondeterministic inputs pass through (after simplification).
+    Already-nondeterministic inputs pass through (after simplification).  An
+    input whose priorities lie in {0, 1} goes through the breakpoint
+    construction, every other input through Safra + appearance record.
     Raises ResourceBudgetError, besides simplify's own state-budget stop,
     when
       - one (active states, letter) key has more than `budget`
         transition-choice combinations,
       - the work, combinations times directions summed over the explored
-        (Safra tree, letter) pairs, exceeds 20 * `budget`, or
+        (Safra tree or breakpoint state, letter) pairs, exceeds
+        20 * `budget`, or
       - the construction reaches more than `budget` Safra trees, or more
         than `budget` states.
 
     Every repeated object (Safra tree, edge relation, Rabin hit pair,
     appearance record, state) is interned to a small integer id, assigned in
-    discovery order.  Discovery follows the exploration order, so the ids
-    fix the state numbering of the result.
+    discovery order.  Discovery follows the exploration order, which meets
+    transition choices in the order of their minimal models, and so the
+    value order of posbool children; the ids fix the state numbering of the
+    result.
     """
     a = simplify(a, budget=budget)
     if is_npt(a):
         return a
+    if set(a.priority.values()) <= {0, 1}:
+        out = breakpoint_construction(a, budget)
+    else:
+        out = safra_construction(a, budget)
+    return simplify(out, budget=budget)
 
+
+def breakpoint_construction(a, budget):
+    """Miyano-Hayashi breakpoint construction for a simplified, not
+    nondeterministic automaton whose priorities lie in {0, 1}; the result is
+    not simplified.
+
+    A trace is good iff it visits priority 0 (the set F0) infinitely often.
+    A state (S, O) holds the states S active on the branch and those O whose
+    traces owe a visit to F0 since the last breakpoint, a step where O was
+    empty.  A branch is good iff it passes breakpoints infinitely often, so
+    O = {} has priority 0 and every other state 1.  Without priority 0 the
+    construction is the plain subset construction.
+    """
+    f0 = frozenset(q for q, p in a.priority.items() if p == 0)
+    build = _Build(a, budget)
+    start = frozenset([a.initial])
+    init = build.state((start, start - f0))
+    trans = {}
+    while build.todo:
+        key = build.todo.pop()
+        me = build.states[key]
+        active = tuple(sorted(key[0]))
+        for letter in a.alphabet:
+            used, rows = build.choices(active, letter)
+            target = {e: build.state(breakpoint_step(key, build.edge_of[e], f0)) for e in used}
+            trans[(me, letter)] = build.formula(rows, target)
+    priority = {i: 1 if o else 0 for (_s, o), i in build.states.items()}
+    return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
+
+
+def breakpoint_step(state, edges, f0):
+    """The breakpoint state (S', O') after the edge relation `edges`:
+    S' = post(S), and O' = post(O) - F0, or S' - F0 after a breakpoint."""
+    s, o = state
+    s2 = frozenset([q2 for q, q2 in edges if q in s])
+    o2 = frozenset([q2 for q, q2 in edges if q in o]) if o else s2
+    return s2, o2 - f0
+
+
+def safra_construction(a, budget):
+    """Safra + index appearance record for a simplified, not nondeterministic
+    automaton; the result is not simplified."""
+    build = _Build(a, budget)
     # pass 1: reachable Safra trees and their per-edge-relation step results
     nbw = BadTraceNbw(a.priority)
     t0 = safra_initial(nbw.initial(a.initial))
     tree_ids = {t0: 0}
     tree_of = [t0]
     names_used = set(tree_names(t0))
-    edge_ids = {}
-    edge_of = []
     hit_ids = {}
     hits_of = []
-    models = {}  # (state, letter) -> minimal models of its transition
-    choices = {}  # (active i-states, letter) -> (combo count, edge ids, rows)
     succ = {}  # (tree id, letter) -> (rows, edge ids, their (tree id | None, hits id))
     frontier = [0]
-    work_units = 0
     while frontier:
         tid = frontier.pop()
         tree = tree_of[tid]
         active = tuple(sorted(q for (tag, q) in _root_i_states(tree)))
         steps = {}  # edge id -> (successor tree id | None, hits id)
         for letter in a.alphabet:
-            key = (active, letter)
-            if key not in choices:
-                choices[key] = _choice_rows(
-                    a, active, letter, budget, models, edge_ids, edge_of
-                )
-            count, used, rows = choices[key]
-            work_units += count * len(a.directions)
-            if work_units > 20 * budget:
-                raise ResourceBudgetError(
-                    f"determinization work exceeds the budget ({budget})"
-                )
+            used, rows = build.choices(active, letter)
             # edge ids in first-use order, so new trees are found in the
             # order the (combination, direction) scan would meet them
             for e in used:
                 if e in steps:
                     continue
-                t2 = safra_step(tree, edge_of[e], nbw)
+                t2 = safra_step(tree, build.edge_of[e], nbw)
                 h = _intern(hit_ids, hits_of, safra_hits(t2))
                 t2id = None
                 if t2 is not None:
@@ -268,38 +311,21 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
                     if t2id == known:  # a new tree
                         names_used |= tree_names(t2)
                         frontier.append(t2id)
-                        if len(tree_of) > budget:
-                            raise ResourceBudgetError(
-                                f"determinization exceeds the state budget ({budget})"
-                            )
+                        build.check_size(len(tree_of))
                 steps[e] = (t2id, h)
             succ[(tid, letter)] = (rows, used, [steps[e] for e in used])
 
     # pass 2: refine with the appearance record over the names actually used
     names = tuple(sorted(names_used))
     k = len(names)
-    sink = 0  # accept-all state for branches with no tracked obligations
-    states = {"sink": sink}  # (tree id, perm id, prio) -> state
-    priority = {sink: 2}
-    trans = {}
+    # accept-all state for branches with no tracked obligations, with its
+    # transitions set here: it is not queued
+    sink = build.states["sink"] = 0
+    trans = {(sink, letter): pb.conj([pb.atom((d, sink)) for d in a.directions])
+             for letter in a.alphabet}
     perm_ids = {names: 0}
     perm_of = [names]
     iar = {}  # (perm id, hits id) -> (perm id, prio)
-    conjs = {}  # target per direction -> conjunction of its moves
-    disjs = {}  # targets of all choices -> disjunction of their conjunctions
-
-    def state(tid, pid, prio):
-        key = (tid, pid, prio)
-        idx = states.get(key)
-        if idx is None:
-            idx = states[key] = len(states)
-            priority[idx] = prio
-            work.append(key)
-            if len(states) > budget:
-                raise ResourceBudgetError(
-                    f"determinization exceeds the state budget ({budget})"
-                )
-        return idx
 
     def record(pid, h):
         """The appearance-record step from record pid on hits h, memoized."""
@@ -309,14 +335,11 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
             out = iar[(pid, h)] = (_intern(perm_ids, perm_of, perm2), prio)
         return out
 
-    work = []
-    init = state(0, 0, 2 * k + 2)
-    for letter in a.alphabet:
-        trans[(sink, letter)] = pb.conj([pb.atom((d, sink)) for d in a.directions])
-    while work:
-        key = work.pop()
+    init = build.state((0, 0, 2 * k + 2))  # (tree id, perm id, prio)
+    while build.todo:
+        key = build.todo.pop()
         tid, pid, _ = key
-        me = states[key]
+        me = build.states[key]
         for letter in a.alphabet:
             rows, used, steps = succ[(tid, letter)]
             # first-use order gives new states the numbers the
@@ -327,23 +350,10 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
                     target[e] = sink
                     continue
                 p2, prio = record(pid, h)
-                target[e] = state(t2id, p2, prio + 1)
-            tgts = tuple(tuple(map(target.__getitem__, row)) for row in rows)
-            f = disjs.get(tgts)
-            if f is None:
-                disjuncts = []
-                for tgt in tgts:
-                    g = conjs.get(tgt)
-                    if g is None:
-                        g = conjs[tgt] = pb.conj(
-                            [pb.atom((d, q)) for d, q in zip(a.directions, tgt)]
-                        )
-                    disjuncts.append(g)
-                f = disjs[tgts] = pb.disj(disjuncts)
-            trans[(me, letter)] = f
-    n = len(states)
-    out = Apt(a.alphabet, a.directions, n, init, trans, priority)
-    return simplify(out, budget=budget)
+                target[e] = build.state((t2id, p2, prio + 1))
+            trans[(me, letter)] = build.formula(rows, target)
+    priority = {i: 2 if key == "sink" else key[2] for key, i in build.states.items()}
+    return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
 
 
 def _intern(ids, objs, x):
@@ -359,6 +369,80 @@ def _root_i_states(tree):
     if tree is None:
         return frozenset()
     return frozenset(s for s in tree[1] if s[0] == "i")
+
+
+class _Build:
+    """What both constructions share: the transition choices of the input's
+    active-state sets, the output states and the output transitions, with
+    the budget stops.
+
+    States are interned from hashable keys to ids in discovery order; a new
+    key is pushed on `todo`.  Edge relations are interned to the ids that the
+    choice rows hold, `edge_of[e]` being relation e.
+    """
+
+    def __init__(self, a, budget):
+        self.a = a
+        self.budget = budget
+        self.models = {}  # (state, letter) -> minimal models of its transition
+        self.edge_ids = {}
+        self.edge_of = []
+        self.rows = {}  # (active states, letter) -> (combo count, edge ids, rows)
+        self.work = 0
+        self.states = {}
+        self.todo = []
+        self.conjs = {}  # target per direction -> conjunction of its moves
+        self.disjs = {}  # targets of all choices -> disjunction of their conjunctions
+
+    def check_size(self, n):
+        if n > self.budget:
+            raise ResourceBudgetError(
+                f"determinization exceeds the state budget ({self.budget})"
+            )
+
+    def state(self, key):
+        idx = self.states.get(key)
+        if idx is None:
+            idx = self.states[key] = len(self.states)
+            self.todo.append(key)
+            self.check_size(len(self.states))
+        return idx
+
+    def choices(self, active, letter):
+        """(edge ids in first-use order, rows) of the active states' choices
+        on the letter, built once per key; every call adds the choice count
+        times the directions to the work."""
+        key = (active, letter)
+        got = self.rows.get(key)
+        if got is None:
+            got = self.rows[key] = _choice_rows(
+                self.a, active, letter, self.budget, self.models, self.edge_ids, self.edge_of
+            )
+        count, used, rows = got
+        self.work += count * len(self.a.directions)
+        if self.work > 20 * self.budget:
+            raise ResourceBudgetError(
+                f"determinization work exceeds the budget ({self.budget})"
+            )
+        return used, rows
+
+    def formula(self, rows, target):
+        """The disjunction over rows of the conjunction of the moves
+        (d, target[edge id of d in the row])."""
+        a = self.a
+        tgts = tuple(tuple(map(target.__getitem__, row)) for row in rows)
+        f = self.disjs.get(tgts)
+        if f is None:
+            disjuncts = []
+            for tgt in tgts:
+                g = self.conjs.get(tgt)
+                if g is None:
+                    g = self.conjs[tgt] = pb.conj(
+                        [pb.atom((d, q)) for d, q in zip(a.directions, tgt)]
+                    )
+                disjuncts.append(g)
+            f = self.disjs[tgts] = pb.disj(disjuncts)
+        return f
 
 
 def _choice_rows(a, active, letter, budget, models, edge_ids, edge_of):
@@ -385,13 +469,31 @@ def _choice_rows(a, active, letter, budget, models, edge_ids, edge_of):
             raise ResourceBudgetError(
                 f"transition choice combinations exceed the budget ({budget})"
             )
-    # per direction, the relation of every choice, one active state at a time
+    if not all(per_state):  # an active state cannot move: no choice
+        return 1, (), []
+    # each model's moves grouped by direction, once
+    by_dir = []
+    for q, qmodels in zip(active, per_state):
+        groups = []
+        for m in qmodels:
+            g = {}
+            for d, q2 in m:
+                g.setdefault(d, set()).add((q, q2))
+            groups.append({d: frozenset(pairs) for d, pairs in g.items()})
+        by_dir.append(groups)
+    mentioned = {d for groups in by_dir for g in groups for d in g}
+    empty = frozenset()
+    # per direction, the relation of every choice, one active state at a time;
+    # a direction no model mentions has the empty relation in every choice
     per_dir = []
     for d in a.directions:
-        rels = [frozenset()]
-        for q, qmodels in zip(active, per_state):
-            parts = [frozenset((q, q2) for (dd, q2) in m if dd == d) for m in qmodels]
-            rels = [r | p for r in rels for p in parts]
+        if d not in mentioned:
+            per_dir.append([_intern(edge_ids, edge_of, empty)] * total)
+            continue
+        rels = [empty]
+        for groups in by_dir:
+            parts = [g.get(d, empty) for g in groups]
+            rels = [r | p if p else r for r in rels for p in parts]
         per_dir.append([_intern(edge_ids, edge_of, r) for r in rels])
     rows = list(zip(*per_dir))
-    return max(len(rows), 1), tuple(dict.fromkeys(chain.from_iterable(rows))), rows
+    return total, tuple(dict.fromkeys(chain.from_iterable(rows))), rows

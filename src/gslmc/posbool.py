@@ -4,13 +4,18 @@ Formulas are immutable tuples so they hash and compare structurally:
 
     ('t',)              constant true
     ('f',)              constant false
-    ('a', move)         an atom; a move is any hashable value
-    ('&', (f1, f2, ..)) n-ary conjunction, children sorted and deduplicated
+    ('a', move)         an atom; a move is any hashable, ordered value
+    ('&', (f1, f2, ..)) n-ary conjunction, children ordered by value and
+                        deduplicated
     ('|', (f1, f2, ..)) n-ary disjunction, likewise
 
 Constructors normalize: constants fold away, nested same-kind nodes are
-flattened, duplicate children dropped.  Negation does not exist; dualization
-swaps the two kinds and the two constants.
+flattened, duplicate children dropped.  Children are ordered by comparing the
+tuples themselves, so the moves of one automaton must be comparable with each
+other (every automaton here uses (direction, state number) moves, and
+directions are state names, strings); the order does not depend on the hash
+seed.  Negation does not exist; dualization swaps the two kinds and the two
+constants.
 
 The walks `dual`, `map_atoms` and `atoms` take an optional `memo` dict from
 formula to result.  An automaton operation that walks many transitions passes
@@ -29,10 +34,6 @@ def atom(move):
     return ("a", move)
 
 
-def _sort_key(f):
-    return repr(f)
-
-
 def _build(kind, items, absorb, annihilate):
     flat = []
     for f in items:
@@ -44,7 +45,7 @@ def _build(kind, items, absorb, annihilate):
             flat.extend(f[1])
         else:
             flat.append(f)
-    flat = sorted(set(flat), key=_sort_key)
+    flat = sorted(set(flat))
     if not flat:
         return absorb
     if len(flat) == 1:

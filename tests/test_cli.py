@@ -65,6 +65,24 @@ class TestCheckExitCodes:
         code, _, err = run(capsys, "check", str(p), "-f", "p")
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize("kind, name, number", [
+        ("state", "s1", 1), ("action", "b", 2), ("agent", "a0", 0), ("atom", "p", 3),
+    ])
+    def test_non_string_name_is_a_model_error(self, capsys, tmp_path, kind, name, number):
+        def swap(x):
+            if isinstance(x, dict):
+                return {k: swap(v) for k, v in x.items() if k != name}
+            if isinstance(x, list):
+                return [swap(v) for v in x]
+            return number if x == name else x
+
+        bad = swap(TOGGLE)  # a JSON object key stays a string: the entry goes
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "check", str(p), "-f", "<<x>> (a0,x) X p")
+        assert code == 3
+        assert f"{kind} name {number} is not a string" in err
+
     def test_infinite_grade_is_four(self, capsys, toggle_path):
         code, _, err = run(
             capsys, "check", toggle_path, "-f", "<<x>>^>=aleph0 (a0,x) X p"
