@@ -110,70 +110,65 @@ def monitor_accepts_lasso(priority, q0, prefix, cycle):
         pos = pos + 1 if pos + 1 < P + C else P
 
     mon = TraceMonitor(priority, tuple(sorted(names)))
-    st = mon.initial(q0)
-    pos = 0
-    hist = []
-    seen = {}
-    while (pos, st) not in seen:
-        seen[(pos, st)] = len(hist)
-        st, prio = mon.step(st, word[pos])
-        hist.append(prio)
-        pos = pos + 1 if pos + 1 < P + C else P
-    start = seen[(pos, st)]
-    return min(hist[start:]) % 2 == 0
-
-
-class TestTraceMonitor:
-    def test_monitor_complements_bad_trace_search(self):
-        rng = random.Random(7)
-        for _ in range(150):
-            nq = rng.randint(1, 4)
-            priority = {q: rng.randint(0, 3) for q in range(nq)}
-            pairs = [(a, b) for a in range(nq) for b in range(nq)]
-
-            def rel():
-                return frozenset(p for p in pairs if rng.random() < 0.45)
-
-            prefix = [rel() for _ in range(rng.randint(0, 3))]
-            cycle = [rel() for _ in range(rng.randint(1, 3))]
-            q0 = rng.randrange(nq)
-            nbw = BadTraceNbw(priority)
-            has_bad = nbw_accepts_lasso(nbw, q0, prefix, cycle)
-            all_good = monitor_accepts_lasso(priority, q0, prefix, cycle)
-            assert has_bad != all_good
+    return min(loop_outputs(mon.step, mon.initial(q0), prefix, cycle)) % 2 == 0
 
 
 def breakpoint_accepts_lasso(priority, q0, prefix, cycle):
     """Run the breakpoint states on the lasso; accept iff a breakpoint
     (O empty, priority 0) lies on its eventual loop."""
     f0 = frozenset(q for q, p in priority.items() if p == 0)
+
+    def step(state, edges):
+        state = breakpoint_step(state, edges, f0)
+        return state, not state[1]
+
+    start = (frozenset([q0]), frozenset([q0]) - f0)
+    return any(loop_outputs(step, start, prefix, cycle))
+
+
+def loop_outputs(step, state, prefix, cycle):
+    """Run step(state, letter) -> (state, output) over prefix.cycle^w; the
+    outputs on its eventual loop."""
     word = list(prefix) + list(cycle)
-    st = (frozenset([q0]), frozenset([q0]) - f0)
     pos = 0
     hist = []
     seen = {}
-    while (pos, st) not in seen:
-        seen[(pos, st)] = len(hist)
-        st = breakpoint_step(st, word[pos], f0)
-        hist.append(not st[1])
+    while (pos, state) not in seen:
+        seen[(pos, state)] = len(hist)
+        state, out = step(state, word[pos])
+        hist.append(out)
         pos = pos + 1 if pos + 1 < len(word) else len(prefix)
-    return any(hist[seen[(pos, st)]:])
+    return hist[seen[(pos, state)]:]
+
+
+def random_lassos(rng, count, top_priority):
+    """Seeded (priority, q0, prefix, cycle) lassos of edge relations over at
+    most 4 states with priorities up to top_priority."""
+    for _ in range(count):
+        nq = rng.randint(1, 4)
+        priority = {q: rng.randint(0, top_priority) for q in range(nq)}
+        pairs = [(a, b) for a in range(nq) for b in range(nq)]
+
+        def rel():
+            return frozenset(p for p in pairs if rng.random() < 0.45)
+
+        prefix = [rel() for _ in range(rng.randint(0, 3))]
+        cycle = [rel() for _ in range(rng.randint(1, 3))]
+        q0 = rng.randrange(nq)
+        yield priority, q0, prefix, cycle
+
+
+class TestTraceMonitor:
+    def test_monitor_complements_bad_trace_search(self):
+        for priority, q0, prefix, cycle in random_lassos(random.Random(7), 150, 3):
+            has_bad = nbw_accepts_lasso(BadTraceNbw(priority), q0, prefix, cycle)
+            all_good = monitor_accepts_lasso(priority, q0, prefix, cycle)
+            assert has_bad != all_good
 
 
 class TestBreakpoint:
     def test_breakpoint_complements_bad_trace_search(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            nq = rng.randint(1, 4)
-            priority = {q: rng.randint(0, 1) for q in range(nq)}
-            pairs = [(a, b) for a in range(nq) for b in range(nq)]
-
-            def rel():
-                return frozenset(p for p in pairs if rng.random() < 0.45)
-
-            prefix = [rel() for _ in range(rng.randint(0, 3))]
-            cycle = [rel() for _ in range(rng.randint(1, 3))]
-            q0 = rng.randrange(nq)
+        for priority, q0, prefix, cycle in random_lassos(random.Random(11), 300, 1):
             has_bad = nbw_accepts_lasso(BadTraceNbw(priority), q0, prefix, cycle)
             assert has_bad != breakpoint_accepts_lasso(priority, q0, prefix, cycle)
 
