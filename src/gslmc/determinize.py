@@ -213,20 +213,21 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     construction, every other input through Safra + appearance record.
     Raises ResourceBudgetError, besides simplify's own state-budget stop,
     when
-      - one (active states, letter) key has more than `budget`
-        transition-choice combinations,
+      - one choice key, (active states, class id of each one's transition
+        on a letter), has more than `budget` transition-choice
+        combinations,
       - the work, combinations times directions summed over the explored
         (Safra tree or breakpoint state, letter) pairs, exceeds
-        20 * `budget`, or
+        20 * `budget` (letters that share a key are each charged), or
       - the construction reaches more than `budget` Safra trees, or more
         than `budget` states.
 
-    Every repeated object (Safra tree, edge relation, Rabin hit pair,
-    appearance record, state) is interned to a small integer id, assigned in
-    discovery order.  Discovery follows the exploration order, which meets
-    transition choices in the order of their minimal models, and so the
-    value order of posbool children; the ids fix the state numbering of the
-    result.
+    Every repeated object (transition formula, choice key, Safra tree, edge
+    relation, Rabin hit pair, appearance record, state) is interned to a
+    small integer id, assigned in discovery order.  Discovery follows the
+    exploration order, which meets transition choices in the order of their
+    minimal models, and so the value order of posbool children; the ids fix
+    the state numbering of the result.
     """
     a = simplify(a, budget=budget)
     if is_npt(a):
@@ -259,10 +260,12 @@ def breakpoint_construction(a, budget):
         key = build.todo.pop()
         me = build.states[key]
         active = tuple(sorted(key[0]))
-        for letter in a.alphabet:
-            used, rows = build.choices(active, letter)
-            target = {e: build.state(breakpoint_step(key, build.edge_of[e], f0)) for e in used}
-            trans[(me, letter)] = build.formula(rows, target)
+        # choices are taken lazily, so each letter's work is charged before
+        # the states it reaches are made, and the budget stops keep their order
+        build.transitions(
+            trans, me, ((letter, build.choices(active, letter)) for letter in a.alphabet),
+            lambda e: build.state(breakpoint_step(key, build.edge_of[e], f0)),
+        )
     priority = {i: 1 if o else 0 for (_s, o), i in build.states.items()}
     return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
 
@@ -288,19 +291,26 @@ def safra_construction(a, budget):
     names_used = set(tree_names(t0))
     hit_ids = {}
     hits_of = []
-    succ = {}  # (tree id, letter) -> (rows, edge ids, their (tree id | None, hits id))
+    choice = {}  # tree id -> its choice id per letter
+    steps = {}  # tree id -> {edge id: (successor tree id | None, hits id)}
     frontier = [0]
     while frontier:
         tid = frontier.pop()
         tree = tree_of[tid]
         active = tuple(sorted(q for (tag, q) in _root_i_states(tree)))
-        steps = {}  # edge id -> (successor tree id | None, hits id)
+        tchoice = choice[tid] = []
+        tsteps = steps[tid] = {}
+        seen = set()
         for letter in a.alphabet:
-            used, rows = build.choices(active, letter)
+            c = build.choices(active, letter)
+            tchoice.append(c)
+            if c in seen:
+                continue
+            seen.add(c)
             # edge ids in first-use order, so new trees are found in the
             # order the (combination, direction) scan would meet them
-            for e in used:
-                if e in steps:
+            for e in build.rows[c][1]:
+                if e in tsteps:
                     continue
                 t2 = safra_step(tree, build.edge_of[e], nbw)
                 h = _intern(hit_ids, hits_of, safra_hits(t2))
@@ -312,8 +322,7 @@ def safra_construction(a, budget):
                         names_used |= tree_names(t2)
                         frontier.append(t2id)
                         build.check_size(len(tree_of))
-                steps[e] = (t2id, h)
-            succ[(tid, letter)] = (rows, used, [steps[e] for e in used])
+                tsteps[e] = (t2id, h)
 
     # pass 2: refine with the appearance record over the names actually used
     names = tuple(sorted(names_used))
@@ -321,8 +330,8 @@ def safra_construction(a, budget):
     # accept-all state for branches with no tracked obligations, with its
     # transitions set here: it is not queued
     sink = build.states["sink"] = 0
-    trans = {(sink, letter): pb.conj([pb.atom((d, sink)) for d in a.directions])
-             for letter in a.alphabet}
+    loop = pb.conj([pb.atom((d, sink)) for d in a.directions])
+    trans = {(sink, letter): loop for letter in a.alphabet}
     perm_ids = {names: 0}
     perm_of = [names]
     iar = {}  # (perm id, hits id) -> (perm id, prio)
@@ -340,18 +349,16 @@ def safra_construction(a, budget):
         key = build.todo.pop()
         tid, pid, _ = key
         me = build.states[key]
-        for letter in a.alphabet:
-            rows, used, steps = succ[(tid, letter)]
-            # first-use order gives new states the numbers the
-            # (combination, direction) scan would give them
-            target = {}
-            for e, (t2id, h) in zip(used, steps):
-                if t2id is None:
-                    target[e] = sink
-                    continue
-                p2, prio = record(pid, h)
-                target[e] = build.state((t2id, p2, prio + 1))
-            trans[(me, letter)] = build.formula(rows, target)
+        tsteps = steps[tid]
+
+        def target(e):
+            t2id, h = tsteps[e]
+            if t2id is None:
+                return sink
+            p2, prio = record(pid, h)
+            return build.state((t2id, p2, prio + 1))
+
+        build.transitions(trans, me, zip(a.alphabet, choice[tid]), target)
     priority = {i: 2 if key == "sink" else key[2] for key, i in build.states.items()}
     return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
 
@@ -376,6 +383,11 @@ class _Build:
     active-state sets, the output states and the output transitions, with
     the budget stops.
 
+    Choices are keyed by transition class, not by letter: each input
+    transition formula is interned to a class id, and the choices of active
+    states on a letter depend only on the key (active states, class id of
+    each one's transition on the letter).  Many letters share a key, and so
+    its choice id, its rows and, per output state, its output transition.
     States are interned from hashable keys to ids in discovery order; a new
     key is pushed on `todo`.  Edge relations are interned to the ids that the
     choice rows hold, `edge_of[e]` being relation e.
@@ -384,10 +396,13 @@ class _Build:
     def __init__(self, a, budget):
         self.a = a
         self.budget = budget
-        self.models = {}  # (state, letter) -> minimal models of its transition
+        self.classes = {}  # (state, letter) -> class id of its transition
+        self.class_ids = {}  # transition formula -> class id
+        self.models = []  # class id -> minimal models of its formula
         self.edge_ids = {}
         self.edge_of = []
-        self.rows = {}  # (active states, letter) -> (combo count, edge ids, rows)
+        self.choice_ids = {}  # (active states, class ids) -> choice id
+        self.rows = []  # choice id -> (combo count, edge ids, rows)
         self.work = 0
         self.states = {}
         self.todo = []
@@ -408,23 +423,54 @@ class _Build:
             self.check_size(len(self.states))
         return idx
 
+    def transition_class(self, q, letter):
+        """The class id of state q's transition on the letter; its minimal
+        models are computed once per class."""
+        c = self.classes.get((q, letter))
+        if c is None:
+            f = self.a.trans[(q, letter)]
+            c = self.class_ids.get(f)
+            if c is None:
+                c = self.class_ids[f] = len(self.models)
+                self.models.append(pb.minimal_models(f))
+            self.classes[(q, letter)] = c
+        return c
+
     def choices(self, active, letter):
-        """(edge ids in first-use order, rows) of the active states' choices
-        on the letter, built once per key; every call adds the choice count
-        times the directions to the work."""
-        key = (active, letter)
-        got = self.rows.get(key)
-        if got is None:
-            got = self.rows[key] = _choice_rows(
-                self.a, active, letter, self.budget, self.models, self.edge_ids, self.edge_of
-            )
-        count, used, rows = got
-        self.work += count * len(self.a.directions)
+        """The choice id of the active states on the letter, whose
+        `rows[id]` is built once per key (active states, class ids); every
+        call adds the choice count times the directions to the work, so the
+        budget stops do not depend on the sharing."""
+        key = (active, tuple([self.transition_class(q, letter) for q in active]))
+        c = self.choice_ids.get(key)
+        if c is None:
+            got = _choice_rows(self.a.directions, active, [self.models[k] for k in key[1]],
+                               self.budget, self.edge_ids, self.edge_of)
+            c = self.choice_ids[key] = len(self.rows)
+            self.rows.append(got)
+        self.work += self.rows[c][0] * len(self.a.directions)
         if self.work > 20 * self.budget:
             raise ResourceBudgetError(
                 f"determinization work exceeds the budget ({self.budget})"
             )
-        return used, rows
+        return c
+
+    def transitions(self, trans, me, letter_choices, target):
+        """Set trans[(me, letter)] for each (letter, choice id) pair.
+
+        The transition of a choice id is built once, and every letter of
+        that id gets the same formula.  target(e) is the output state
+        reached along edge relation e; it is called once per edge, in the
+        edges' first-use order, so new states get the numbers the
+        (choice, direction) scan would give them.
+        """
+        out = {}  # choice id -> the transition on its letters
+        for letter, c in letter_choices:
+            f = out.get(c)
+            if f is None:
+                _, used, rows = self.rows[c]
+                f = out[c] = self.formula(rows, {e: target(e) for e in used})
+            trans[(me, letter)] = f
 
     def formula(self, rows, target):
         """The disjunction over rows of the conjunction of the moves
@@ -445,23 +491,17 @@ class _Build:
         return f
 
 
-def _choice_rows(a, active, letter, budget, models, edge_ids, edge_of):
-    """Transition choices of the active states on one letter, as edge relations.
+def _choice_rows(directions, active, per_state, budget, edge_ids, edge_of):
+    """Transition choices of the active states, as edge relations.
 
-    A choice picks one minimal transition model per active state; along each
-    direction it induces the edge relation of (state, successor) pairs.
-    Returns (the choice count for the work budget, the distinct edge ids in
-    first-use order over choices then directions, one row per choice holding
-    its edge id per direction).  Choices come in itertools.product order.  New
-    edge relations are interned into edge_ids / edge_of, and the minimal models
-    of each (state, letter) transition are computed once into `models`.
+    per_state holds the minimal models of each active state's transition.  A
+    choice picks one model per active state; along each direction it induces
+    the edge relation of (state, successor) pairs.  Returns (the choice count
+    for the work budget, the distinct edge ids in first-use order over
+    choices then directions, one row per choice holding its edge id per
+    direction).  Choices come in itertools.product order.  New edge relations
+    are interned into edge_ids / edge_of.
     """
-    per_state = []
-    for q in active:
-        m = models.get((q, letter))
-        if m is None:
-            m = models[(q, letter)] = pb.minimal_models(a.trans[(q, letter)])
-        per_state.append(m)
     total = 1
     for m in per_state:
         total *= max(len(m), 1)
@@ -486,7 +526,7 @@ def _choice_rows(a, active, letter, budget, models, edge_ids, edge_of):
     # per direction, the relation of every choice, one active state at a time;
     # a direction no model mentions has the empty relation in every choice
     per_dir = []
-    for d in a.directions:
+    for d in directions:
         if d not in mentioned:
             per_dir.append([_intern(edge_ids, edge_of, empty)] * total)
             continue

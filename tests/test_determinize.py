@@ -1,15 +1,19 @@
 import contextlib
 import hashlib
 import io
+import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 
-from gslmc import cli
+from gslmc import cli, determinize
+from gslmc import posbool as pb
 from gslmc.automata import is_npt, member, simplify
 from gslmc.determinize import (
     DEFAULT_BUDGET,
@@ -220,6 +224,50 @@ class TestNondeterminize:
                 nondeterminize(random_apt(rng2, max_states=4), budget=3)
 
 
+class TestSharedLetters:
+    """Letters whose transitions are equal share their choices and output
+    transitions, and sharing never moves a budget stop."""
+
+    @staticmethod
+    def doubled(a):
+        """a with a copy of every letter, whose transitions are equal to the
+        original's but distinct objects."""
+        copy = {x: len(a.alphabet) + i for i, x in enumerate(a.alphabet)}
+        trans = dict(a.trans)
+        for (q, x), f in a.trans.items():
+            trans[(q, copy[x])] = pb.map_atoms(f, lambda m: m)
+        return replace(a, alphabet=a.alphabet + tuple(copy.values()), trans=trans), copy
+
+    @pytest.mark.parametrize("construction,max_pr", [
+        (breakpoint_construction, 2), (safra_construction, 3)])
+    def test_copies_share_transitions_and_double_the_work(self, monkeypatch, construction,
+                                                          max_pr):
+        builds = []
+
+        class Recording(determinize._Build):
+            def __init__(self, *args):
+                super().__init__(*args)
+                builds.append(self)
+
+        monkeypatch.setattr(determinize, "_Build", Recording)
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(60):
+            a = simplify(random_apt(rng, max_states=4, max_pr=max_pr), DEFAULT_BUDGET)
+            if is_npt(a):
+                continue
+            a2, copy = self.doubled(a)
+            out = construction(a, DEFAULT_BUDGET)
+            out2 = construction(a2, DEFAULT_BUDGET)
+            assert out2.n_states == out.n_states
+            assert builds[-1].work == 2 * builds[-2].work
+            for (q, x), f in out.trans.items():
+                assert out2.trans[(q, x)] == f
+                assert out2.trans[(q, copy[x])] is out2.trans[(q, x)]
+            checked += 1
+        assert checked >= 20
+
+
 # ---------------------------------------------------------------------------
 # golden stage dumps: alternation removal must keep producing these automata,
 # with the same state numbering, under any PYTHONHASHSEED
@@ -270,13 +318,10 @@ def in_process(*argv):
     return code, out.getvalue()
 
 
-def stage_digests(run, model, objectives, verdict):
-    """SHA-256 per stage dump file of `gen unique-ne` checked on the model."""
-    model, objectives = os.path.join(DATA, model), os.path.join(DATA, objectives)
-    code, sentence = run("gen", "unique-ne", model, "--objectives", objectives)
-    assert code == 0
+def stage_digests(run, model, sentence, verdict):
+    """SHA-256 per stage dump file of the sentence checked on the model file."""
     with tempfile.TemporaryDirectory() as stages:
-        code, out = run("check", model, "-f", sentence.strip(), "--emit-stage", stages)
+        code, out = run("check", model, "-f", sentence, "--emit-stage", stages)
         assert out.splitlines()[-1] == verdict and code == (0 if verdict == "HOLDS" else 1)
         digests = {}
         for name in sorted(os.listdir(stages)):
@@ -285,11 +330,58 @@ def stage_digests(run, model, objectives, verdict):
     return digests
 
 
+def unique_ne_digests(run, model, objectives, verdict):
+    """Stage digests of `gen unique-ne` checked on the model."""
+    model, objectives = os.path.join(DATA, model), os.path.join(DATA, objectives)
+    code, sentence = run("gen", "unique-ne", model, "--objectives", objectives)
+    assert code == 0
+    return stage_digests(run, model, sentence.strip(), verdict)
+
+
+def ring_model(n, agents):
+    """n-state ring r0 .. r(n-1): all agents playing a advance, anything else
+    stays; p holds only at r(n-1)."""
+    names = [f"r{i}" for i in range(n)]
+    transitions = [
+        {"from": s, "decision": dict(zip(agents, decision)),
+         "to": names[(i + 1) % n] if set(decision) == {"a"} else s}
+        for i, s in enumerate(names)
+        for decision in itertools.product("ab", repeat=len(agents))
+    ]
+    return {"atoms": ["p"], "agents": list(agents), "actions": ["a", "b"],
+            "states": names, "initial": names[0], "label": {names[-1]: ["p"]},
+            "transitions": transitions}
+
+
+# stages over wide alphabets (|actions| ** names x n letters), where many
+# letters share every active state's transition: (ring size, agents,
+# sentence) -> (verdict, SHA-256 of each --emit-stage file)
+GOLDEN_RING_STAGES = {
+    (6, ("a0",), "<<x>>^>=2 (a0,x) F p"): ("HOLDS", {
+        "stage01_apt.txt": "a932e6b0bcec71c0ee886b9ca9c15539d3f73ee6f7d744a8152dd43e2e6086cd",
+        "stage01_npt.txt": "012f3ce46f2d517fb0168a6fefe036279c412728b4787597a589d847387291cf",
+    }),
+    (6, ("a0", "a1"), "<<x>>^>=1 [[y]]^<1 (a0,x) (a1,y) F p"): ("FAILS", {
+        "stage01_apt.txt": "7788b2284908988dff91b4f6b3ceecd4a15a1d47ddc95aa4b9231c27adcb5aa2",
+        "stage01_npt.txt": "b9a50297801d1049356dcf67f5ff84a0bd613a976e216d2a72b9ac059306a06c",
+        "stage02_apt.txt": "e2e926f5ad3d99b590e2145a9822ae39404c2eddf3a3e787e1665de846c506be",
+        "stage02_npt.txt": "750724d49fc1c8e56cb958d8bd1fc98b959ce23abd8b857699d81cc757786fb6",
+    }),
+}
+
+
 class TestGoldenStages:
     @pytest.mark.parametrize("model,objectives", sorted(GOLDEN_STAGES))
     def test_stage_dumps_match(self, model, objectives):
         verdict, digests = GOLDEN_STAGES[(model, objectives)]
-        assert stage_digests(in_process, model, objectives, verdict) == digests
+        assert unique_ne_digests(in_process, model, objectives, verdict) == digests
+
+    @pytest.mark.parametrize("n,agents,sentence", sorted(GOLDEN_RING_STAGES))
+    def test_wide_alphabet_stage_dumps_match(self, tmp_path, n, agents, sentence):
+        verdict, digests = GOLDEN_RING_STAGES[(n, agents, sentence)]
+        model = tmp_path / "ring.json"
+        model.write_text(json.dumps(ring_model(n, agents)))
+        assert stage_digests(in_process, str(model), sentence, verdict) == digests
 
     def test_stage_dumps_match_under_another_hash_seed(self):
         seed = "2" if os.environ.get("PYTHONHASHSEED") != "2" else "5"
@@ -302,4 +394,4 @@ class TestGoldenStages:
 
         key = ("desk3.json", "desk3_next_obj.json")
         verdict, digests = GOLDEN_STAGES[key]
-        assert stage_digests(run, *key, verdict) == digests
+        assert unique_ne_digests(run, *key, verdict) == digests
