@@ -47,8 +47,12 @@ def load_cgs(document):
             raise ModelError(f"model is not valid JSON: {e}") from e
     else:
         doc = document
+    _require(isinstance(doc, dict), "a model must be a JSON object")
     for key in ("atoms", "agents", "actions", "states", "initial", "label", "transitions"):
         _require(key in doc, f"model is missing field {key!r}")
+    for key in ("atoms", "agents", "actions", "states", "transitions"):
+        _require(isinstance(doc[key], list), f"model field {key!r} must be a list")
+    _require(isinstance(doc["label"], dict), "model field 'label' must be an object")
     atoms = list(doc["atoms"])
     agents = tuple(doc["agents"])
     actions = tuple(doc["actions"])
@@ -71,6 +75,7 @@ def load_cgs(document):
     label = {}
     for s in states:
         props = doc["label"].get(s, [])
+        _require(isinstance(props, list), f"label of {s!r} must be a list of atoms")
         for p in props:
             _require(p in atoms, f"label of {s!r} uses unknown atom {p!r}")
         label[s] = frozenset(props)
@@ -80,8 +85,10 @@ def load_cgs(document):
     # expand wildcard entries, rejecting overlaps and gaps
     patterns = []  # (from, tuple of action-or-None, to)
     for i, entry in enumerate(doc["transitions"]):
+        _require(isinstance(entry, dict), f"transition #{i} is not an object")
         for key in ("from", "decision", "to"):
             _require(key in entry, f"transition #{i} is missing {key!r}")
+        _require(isinstance(entry["decision"], dict), f"transition #{i}: decision is not an object")
         src, dst = entry["from"], entry["to"]
         _require(src in states, f"transition #{i} from unknown state {src!r}")
         _require(dst in states, f"transition #{i} to unknown state {dst!r}")

@@ -324,7 +324,7 @@ def main(argv=None):
     except ModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except GslError as e:

@@ -12,16 +12,16 @@ construction over sets of states.  Otherwise it checks that no bad trace
 exists:
 
   1. a Buechi word automaton guesses a trace with odd limit priority,
-  2. Safra's construction determinizes it to Rabin pairs over node names,
-  3. an index appearance record turns the pairs into a single parity index,
-  4. the final priority is complemented (shifted by one) because a branch is
-     good exactly when the bad-trace automaton rejects.
+  2. compact Safra trees determinize it straight to a parity automaton: each
+     step emits a priority from the least marked and least deleted node name,
+  3. the priority is complemented (shifted by one) because a branch is good
+     exactly when the bad-trace automaton rejects.
 
 All word automata here run over "edge relations": the sets of state pairs
 induced along one direction by the chosen transition models.
 """
 
-from itertools import chain
+from itertools import chain, count
 
 from gslmc import posbool as pb
 from gslmc.automata import Apt, is_npt, simplify
@@ -77,59 +77,48 @@ class BadTraceNbw:
 
 
 # ---------------------------------------------------------------------------
-# Safra trees
+# compact Safra trees (Piterman 2007)
 
-# A tree is either None (empty) or a node (name, label, marked, children);
-# children are ordered oldest first, labels are frozensets of word-automaton
-# states, and names persist across steps so the Rabin pairs can refer to them.
+# A tree is either None (empty) or a node (name, label, children); children
+# are ordered oldest first and labels are frozensets of word-automaton states.
+# The k nodes of a tree are named 1..k by age, so a parent's name is below
+# its children's, and they are renamed after every step.
 
 
 def safra_initial(states):
-    if not states:
-        return None
-    return (1, frozenset(states), False, ())
+    return (1, frozenset(states), ())
 
 
-def _tree_names(t, out):
-    if t is None:
-        return out
-    out.add(t[0])
-    for c in t[3]:
-        _tree_names(c, out)
-    return out
+def safra_step(tree, edges, nbw, neutral):
+    """One deterministic step; returns (successor tree, min-parity priority).
 
-
-def tree_names(t):
-    return _tree_names(t, set())
-
-
-def safra_step(tree, edges, nbw):
-    """One deterministic step; returns the successor tree.
-
-    Phases: unmark, sprout an accepting child per node, apply the powerset
-    step, keep each state only in the oldest sibling containing it, delete
-    empty nodes, and mark nodes whose children cover them (deleting the
-    children).
+    Phases: sprout an accepting child per node, apply the powerset step, keep
+    each state only in the oldest sibling containing it, delete empty nodes
+    (an empty root leaves None), mark nodes whose children cover them
+    (deleting the children), and rename the surviving nodes 1..k by age.
+    With f the least marked name and e the least deleted old name, the
+    priority is 2f when f < e, 2e - 1 when e < f, and `neutral` when no node
+    was marked or deleted.  `neutral` is odd and above 2n, where n bounds
+    the nodes of a tree: the states of nbw will do.
     """
-    if tree is None:
-        return None
-    used = tree_names(tree)
-    fresh = iter(n for n in range(1, 2 * len(used) + 2 + max(used)) if n not in used)
+    # new nodes are named from neutral up, above every old name, so the
+    # renaming makes them the youngest and deleting one emits nothing
+    fresh = count(neutral)
 
     def sprout(node):
-        name, label, _m, children = node
+        name, label, children = node
         acc = frozenset(s for s in label if nbw.is_accepting(s))
         children = tuple(sprout(c) for c in children)
         if acc:
-            children = children + ((next(fresh), acc, False, ()),)
-        return (name, label, False, children)
+            children = children + ((next(fresh), acc, ()),)
+        return (name, label, children)
 
     def powerset(node):
-        name, label, m, children = node
-        return (name, nbw.step_set(label, edges), m, tuple(powerset(c) for c in children))
+        name, label, children = node
+        return (name, nbw.step_set(label, edges), tuple(powerset(c) for c in children))
 
     def strip(node, banned):
-        name, label, m, children = node
+        name, label, children = node
         label = label - banned
         out_children = []
         taken = set(banned)
@@ -137,68 +126,37 @@ def safra_step(tree, edges, nbw):
             c2 = strip(c, frozenset(taken))
             out_children.append(c2)
             taken |= c2[1]
-        return (name, label, m, tuple(out_children))
+        return (name, label, tuple(out_children))
+
+    events = [neutral]  # the priority of each mark and deletion; the least wins
+    kept = []  # names of the surviving nodes
 
     def prune(node):
-        name, label, m, children = node
+        # a deleted node's descendants and a marked node's children go
+        # unrecorded: their names are above the node's, so their events lose
+        name, label, children = node
         if not label:
+            events.append(2 * name - 1)
             return None
+        first = len(kept)
         children = tuple(c2 for c in children if (c2 := prune(c)) is not None)
-        union = frozenset().union(*(c[1] for c in children)) if children else frozenset()
-        if children and union == label:
-            return (name, label, True, ())
-        return (name, label, m, children)
+        if children and frozenset().union(*(c[1] for c in children)) == label:
+            events.append(2 * name)
+            del kept[first:]
+            children = ()
+        kept.append(name)
+        return (name, label, children)
 
-    return prune(strip(powerset(sprout(tree)), frozenset()))
+    def rename(node):
+        name, label, children = node
+        return (new[name], label, tuple(rename(c) for c in children))
 
-
-def safra_hits(tree):
-    """(marked names, present names) of a tree — the Rabin pair signals."""
-    marked = set()
-    present = set()
-
-    def walk(node):
-        if node is None:
-            return
-        present.add(node[0])
-        if node[2]:
-            marked.add(node[0])
-        for c in node[3]:
-            walk(c)
-
-    walk(tree)
-    return frozenset(marked), frozenset(present)
-
-
-# ---------------------------------------------------------------------------
-# index appearance record: Rabin pairs -> parity
-
-
-def iar_step(perm, marked, present):
-    """Advance the appearance record and emit a min-parity priority.
-
-    perm lists pair names, most-recently-reset first.  Names whose pair had
-    a reset (name absent) move to the front preserving order; the priority
-    rewards the deepest mark position when it beats the deepest reset.
-    """
-    k = len(perm)
-    e = 0
-    f = 0
-    for i, name in enumerate(perm, start=1):
-        if name not in present:
-            e = i
-        if name in marked:
-            f = i
-    movers = tuple(n for n in perm if n not in present)
-    stayers = tuple(n for n in perm if n in present)
-    new_perm = movers + stayers
-    if f > e:
-        prio = 2 * (k - f)
-    elif e > 0:
-        prio = 2 * (k - e) - 1
-    else:
-        prio = 2 * k + 1
-    return new_perm, prio
+    tree = prune(strip(powerset(sprout(tree)), frozenset()))
+    priority = min(events)
+    if tree is None:
+        return None, priority
+    new = {name: i for i, name in enumerate(sorted(kept), start=1)}
+    return rename(tree), priority
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +168,7 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
 
     Already-nondeterministic inputs pass through (after simplification).  An
     input whose priorities lie in {0, 1} goes through the breakpoint
-    construction, every other input through Safra + appearance record.
+    construction, every other input through compact Safra trees.
     Raises ResourceBudgetError, besides simplify's own state-budget stop,
     when
       - one choice key, (active states, class id of each one's transition
@@ -223,11 +181,11 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
         than `budget` states.
 
     Every repeated object (transition formula, choice key, Safra tree, edge
-    relation, Rabin hit pair, appearance record, state) is interned to a
-    small integer id, assigned in discovery order.  Discovery follows the
-    exploration order, which meets transition choices in the order of their
-    minimal models, and so the value order of posbool children; the ids fix
-    the state numbering of the result.
+    relation, state) is interned to a small integer id, assigned in
+    discovery order.  Discovery follows the exploration order, which meets
+    transition choices in the order of their minimal models, and so the
+    value order of posbool children; the ids fix the state numbering of the
+    result.
     """
     a = simplify(a, budget=budget)
     if is_npt(a):
@@ -280,24 +238,26 @@ def breakpoint_step(state, edges, f0):
 
 
 def safra_construction(a, budget):
-    """Safra + index appearance record for a simplified, not nondeterministic
-    automaton; the result is not simplified."""
+    """Compact Safra trees for a simplified, not nondeterministic automaton;
+    the result is not simplified."""
     build = _Build(a, budget)
-    # pass 1: reachable Safra trees and their per-edge-relation step results
+    # pass 1: reachable trees and their per-edge-relation step results; all
+    # the work is charged here, before pass 2 builds any output transition
     nbw = BadTraceNbw(a.priority)
+    # above twice the states ('i', q) and ('g', q, r) of nbw, which bound the
+    # nodes of a tree
+    neutral = 2 * len(a.priority) * (1 + len(nbw.odd)) + 1
     t0 = safra_initial(nbw.initial(a.initial))
     tree_ids = {t0: 0}
     tree_of = [t0]
-    names_used = set(tree_names(t0))
-    hit_ids = {}
-    hits_of = []
     choice = {}  # tree id -> its choice id per letter
-    steps = {}  # tree id -> {edge id: (successor tree id | None, hits id)}
+    steps = {}  # tree id -> {edge id: (successor tree id | None, step priority)}
     frontier = [0]
     while frontier:
         tid = frontier.pop()
         tree = tree_of[tid]
-        active = tuple(sorted(q for (tag, q) in _root_i_states(tree)))
+        # the root holds ('i', q) for every active state q
+        active = tuple(sorted(s[1] for s in tree[1] if s[0] == "i"))
         tchoice = choice[tid] = []
         tsteps = steps[tid] = {}
         seen = set()
@@ -312,54 +272,35 @@ def safra_construction(a, budget):
             for e in build.rows[c][1]:
                 if e in tsteps:
                     continue
-                t2 = safra_step(tree, build.edge_of[e], nbw)
-                h = _intern(hit_ids, hits_of, safra_hits(t2))
+                t2, prio = safra_step(tree, build.edge_of[e], nbw, neutral)
                 t2id = None
                 if t2 is not None:
                     known = len(tree_of)
                     t2id = _intern(tree_ids, tree_of, t2)
                     if t2id == known:  # a new tree
-                        names_used |= tree_names(t2)
                         frontier.append(t2id)
                         build.check_size(len(tree_of))
-                tsteps[e] = (t2id, h)
+                tsteps[e] = (t2id, prio)
 
-    # pass 2: refine with the appearance record over the names actually used
-    names = tuple(sorted(names_used))
-    k = len(names)
-    # accept-all state for branches with no tracked obligations, with its
+    # pass 2: a state is (tree id, priority of the step into it plus one,
+    # since a branch is good exactly when the bad-trace automaton rejects);
+    # the accept-all state for branches with no tracked obligations has its
     # transitions set here: it is not queued
     sink = build.states["sink"] = 0
     loop = pb.conj([pb.atom((d, sink)) for d in a.directions])
     trans = {(sink, letter): loop for letter in a.alphabet}
-    perm_ids = {names: 0}
-    perm_of = [names]
-    iar = {}  # (perm id, hits id) -> (perm id, prio)
-
-    def record(pid, h):
-        """The appearance-record step from record pid on hits h, memoized."""
-        out = iar.get((pid, h))
-        if out is None:
-            perm2, prio = iar_step(perm_of[pid], *hits_of[h])
-            out = iar[(pid, h)] = (_intern(perm_ids, perm_of, perm2), prio)
-        return out
-
-    init = build.state((0, 0, 2 * k + 2))  # (tree id, perm id, prio)
+    init = build.state((0, neutral + 1))
     while build.todo:
         key = build.todo.pop()
-        tid, pid, _ = key
-        me = build.states[key]
+        tid = key[0]
         tsteps = steps[tid]
 
         def target(e):
-            t2id, h = tsteps[e]
-            if t2id is None:
-                return sink
-            p2, prio = record(pid, h)
-            return build.state((t2id, p2, prio + 1))
+            t2id, prio = tsteps[e]
+            return sink if t2id is None else build.state((t2id, prio + 1))
 
-        build.transitions(trans, me, zip(a.alphabet, choice[tid]), target)
-    priority = {i: 2 if key == "sink" else key[2] for key, i in build.states.items()}
+        build.transitions(trans, build.states[key], zip(a.alphabet, choice[tid]), target)
+    priority = {i: 2 if key == "sink" else key[1] for key, i in build.states.items()}
     return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
 
 
@@ -370,12 +311,6 @@ def _intern(ids, objs, x):
         i = ids[x] = len(objs)
         objs.append(x)
     return i
-
-
-def _root_i_states(tree):
-    if tree is None:
-        return frozenset()
-    return frozenset(s for s in tree[1] if s[0] == "i")
 
 
 class _Build:

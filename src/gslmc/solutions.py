@@ -49,7 +49,7 @@ class ObjectiveTuple:
 
 def load_objectives(doc, cgs):
     """Parse {"agents": {name: {"goals": [...], "payoff": {...}}}} JSON."""
-    if not isinstance(doc, dict) or "agents" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("agents"), dict):
         raise ModelError("objectives document needs an 'agents' table")
     table = doc["agents"]
     if set(table) != set(cgs.agents):
@@ -57,11 +57,17 @@ def load_objectives(doc, cgs):
     out = {}
     for name in cgs.agents:
         entry = table[name]
-        goals = tuple(
-            fm.parse_formula(text, set(cgs.agents)) for text in entry.get("goals", [])
-        )
-        payoff = {str(k): int(v) for k, v in entry.get("payoff", {}).items()}
-        out[name] = ObjectiveTuple(goals, payoff)
+        if not isinstance(entry, dict):
+            raise ModelError(f"objectives of {name!r} must be an object")
+        texts = entry.get("goals", [])
+        if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+            raise ModelError(f"goals of {name!r} must be a list of formula strings")
+        payoff = entry.get("payoff", {})
+        if not (isinstance(payoff, dict) and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in payoff.values())):
+            raise ModelError(f"payoff of {name!r} must map goal bitvectors to integers")
+        goals = tuple(fm.parse_formula(text, set(cgs.agents)) for text in texts)
+        out[name] = ObjectiveTuple(goals, dict(payoff))
     return out
 
 

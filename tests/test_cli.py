@@ -65,6 +65,21 @@ class TestCheckExitCodes:
         code, _, err = run(capsys, "check", str(p), "-f", "p")
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("label", [["p"]]), ("agents", "a0"), ("transitions", {}),
+    ])
+    def test_malformed_model_is_three(self, capsys, tmp_path, field, value):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(TOGGLE, **{field: value})))
+        code, _, err = run(capsys, "check", str(p), "-f", "p")
+        assert code == 3 and err.startswith("error:")
+
+    def test_unreadable_model_is_two(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "check", str(p), "-f", "p")
+        assert code == 2 and err.startswith("error:")
+
     @pytest.mark.parametrize("kind, name, number", [
         ("state", "s1", 1), ("action", "b", 2), ("agent", "a0", 0), ("atom", "p", 3),
     ])
@@ -343,6 +358,23 @@ class TestGen:
             capsys, "gen", "winning-count", single_path, "--objectives", str(op), "--k", "2"
         )
         assert code == 0 and ">=2" in out and ">=3" in out
+
+    @pytest.mark.parametrize("agents", [
+        {"a0": {"goals": ["F p"], "payoff": {"1": "x", "0": -1}}},
+        {"a0": ["F p"]},
+        {"a0": {"goals": [3], "payoff": {"1": 1, "0": -1}}},
+        3,
+    ], ids=["payoff-not-integer", "entry-list", "goal-number", "agents-number"])
+    def test_malformed_objectives_are_a_model_error(self, capsys, single_path, tmp_path,
+                                                     agents):
+        if isinstance(agents, dict):
+            agents = dict(agents, a1={"goals": ["F p"], "payoff": {"1": 1, "0": -1}})
+        op = tmp_path / "obj.json"
+        op.write_text(json.dumps({"agents": agents}))
+        for command in ("gen", "oracle-ne"):
+            argv = [command] + (["ne"] if command == "gen" else [])
+            code, out, err = run(capsys, *argv, single_path, "--objectives", str(op))
+            assert code == 3 and not out and err.startswith("error:"), command
 
     def test_winning_count_without_a_goal_is_a_model_error(self, capsys, single_path, tmp_path):
         obj = {
