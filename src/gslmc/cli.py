@@ -113,15 +113,18 @@ def _mem(v):
     return int(v) if isinstance(v, str) and v.lstrip("-").isdigit() else v
 
 
-def _print_stats(ctx, apt_states=None):
+def _print_stats(f, cgs, ctx):
+    """The --stats lines: the formula's quantifier ranks and the stages of
+    alternation removal that finished."""
+    report = fm.analyze_fragment(f, set(cgs.agents))
+    print(f"quantifier-rank: {report.quantifier_rank}")
+    print(f"quantifier-block-rank: {report.quantifier_block_rank}")
     print(f"nondeterminization-stages: {ctx.stage_count()}")
     for i, s in enumerate(ctx.stages, start=1):
         print(
             f"stage {i}: {s['op']} depth={s['depth']} copies={s['copies']}"
             f" in={s['in_states']} out={s['out_states']}"
         )
-    if apt_states is not None:
-        print(f"final-automaton-states: {apt_states}")
 
 
 def cmd_check(args):
@@ -135,15 +138,18 @@ def cmd_check(args):
     if free and assignment is None:
         print(f"error: formula has free placeholders {sorted(free)}; use --assign")
         return EXIT_USAGE
-    if assignment is None:
-        holds, ctx = check_sentence(f, cgs, budget=args.budget)
-    else:
-        holds, ctx = check_assignment(f, cgs, assignment, budget=args.budget)
+    try:
+        if assignment is None:
+            holds, ctx = check_sentence(f, cgs, budget=args.budget)
+        else:
+            holds, ctx = check_assignment(f, cgs, assignment, budget=args.budget)
+    except ResourceBudgetError as e:
+        # a stop reports the stages that finished before it
+        if args.stats and e.context is not None:
+            _print_stats(f, cgs, e.context)
+        raise
     if args.stats:
-        report = fm.analyze_fragment(f, set(cgs.agents))
-        print(f"quantifier-rank: {report.quantifier_rank}")
-        print(f"quantifier-block-rank: {report.quantifier_block_rank}")
-        _print_stats(ctx)
+        _print_stats(f, cgs, ctx)
     if args.emit_stage:
         _emit_stages(ctx, args.emit_stage)
     print("HOLDS" if holds else "FAILS")

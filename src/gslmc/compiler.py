@@ -93,7 +93,11 @@ def compile_formula(f, cgs, mode="block", budget=DEFAULT_BUDGET):
     if not fm.grades_all_finite(f):
         raise UnsupportedGradeError("only finite grades can be model checked")
     ctx = CompilationContext(cgs, mode=mode, budget=budget)
-    apt, names = _compile(f, ctx)
+    try:
+        apt, names = _compile(f, ctx)
+    except ResourceBudgetError as e:
+        e.context = ctx
+        raise
     return apt, names, ctx
 
 

@@ -17,8 +17,13 @@ exists:
   3. the priority is complemented (shifted by one) because a branch is good
      exactly when the bad-trace automaton rejects.
 
-All word automata here run over "edge relations": the sets of state pairs
-induced along one direction by the chosen transition models.
+All word automata here run over "edge relations": the (state, successor)
+pairs induced along one direction by the chosen transition models.  Sets of
+states are ints used as bitmasks, state q at bit q.  An edge relation is an
+int too, read against the tuple `active` of the states that moved: slice i,
+bits [i * n, (i + 1) * n) for n input states, is the successor set of
+active[i].  The `slots` of active, {1 << active[i]: i * n}, locate the slice
+of each active state.
 """
 
 from itertools import chain, count
@@ -30,6 +35,32 @@ from gslmc.errors import ResourceBudgetError
 DEFAULT_BUDGET = 100_000
 
 
+def members(mask):
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def slots(active, n):
+    """{1 << q: offset of q's slice} for the active states of a relation."""
+    return {1 << q: i * n for i, q in enumerate(active)}
+
+
+def image(rel, states, slot, full):
+    """The successors under the edge relation rel of the states (a subset of
+    the active states that `slot` locates); full = (1 << n) - 1."""
+    out = 0
+    while states:
+        low = states & -states
+        out |= rel >> slot[low]
+        states ^= low
+    return out & full
+
+
 # ---------------------------------------------------------------------------
 # bad-trace Buechi automaton (defined implicitly through its step function)
 
@@ -39,122 +70,123 @@ class BadTraceNbw:
 
     States: ('i', q) wanders along a trace; ('g', q, r) has guessed that the
     trace's limit priority is the odd value r and checks pr >= r forever
-    with pr == r infinitely often.
+    with pr == r infinitely often.  A set of states is an int: ('i', q) at
+    bit q and ('g', q, odd[j]) at bit n * (1 + j) + q.
     """
 
     def __init__(self, priority):
-        self.priority = dict(priority)
-        self.odd = sorted(p for p in set(self.priority.values()) if p % 2 == 1)
-
-    def initial(self, q):
-        return frozenset([("i", q)])
-
-    def is_accepting(self, s):
-        return s[0] == "g" and self.priority[s[1]] == s[2]
-
-    def step_state(self, s, edges):
-        out = set()
-        if s[0] == "i":
-            q = s[1]
-            for (a, b) in edges:
-                if a == q:
-                    out.add(("i", b))
-                    for r in self.odd:
-                        if r <= self.priority[b]:
-                            out.add(("g", b, r))
-        else:
-            _, q, r = s
-            for (a, b) in edges:
-                if a == q and self.priority[b] >= r:
-                    out.add(("g", b, r))
+        n = self.n = len(priority)
+        self.full = (1 << n) - 1
+        self.odd = sorted(p for p in set(priority.values()) if p % 2 == 1)
+        # per odd[j]: its bit offset and the states q with priority >= odd[j]
+        self.guesses = [
+            (n * (1 + j), sum(1 << q for q, p in priority.items() if p >= r))
+            for j, r in enumerate(self.odd)
+        ]
+        self.accepting = sum(
+            1 << (n * (1 + j) + q)
+            for j, r in enumerate(self.odd) for q, p in priority.items() if p == r
+        )
+    def post(self, label, rel, slot):
+        """The successors of the set of states `label` under rel."""
+        full = self.full
+        wander = image(rel, label & full, slot, full)
+        out = wander
+        for offset, ge in self.guesses:
+            guess = image(rel, (label >> offset) & full, slot, full)
+            out |= ((wander | guess) & ge) << offset
         return out
-
-    def step_set(self, states, edges):
-        out = set()
-        for s in states:
-            out |= self.step_state(s, edges)
-        return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
 # compact Safra trees (Piterman 2007)
 
 # A tree is either None (empty) or a node (name, label, children); children
-# are ordered oldest first and labels are frozensets of word-automaton states.
-# The k nodes of a tree are named 1..k by age, so a parent's name is below
-# its children's, and they are renamed after every step.
+# are ordered oldest first and labels are sets of word-automaton states, as
+# ints.  The k nodes of a tree are named 1..k by age, so a parent's name is
+# below its children's, and they are renamed after every step.
 
 
 def safra_initial(states):
-    return (1, frozenset(states), ())
+    return (1, states, ())
 
 
-def safra_step(tree, edges, nbw, neutral):
-    """One deterministic step; returns (successor tree, min-parity priority).
-
-    Phases: sprout an accepting child per node, apply the powerset step, keep
-    each state only in the oldest sibling containing it, delete empty nodes
-    (an empty root leaves None), mark nodes whose children cover them
-    (deleting the children), and rename the surviving nodes 1..k by age.
-    With f the least marked name and e the least deleted old name, the
-    priority is 2f when f < e, 2e - 1 when e < f, and `neutral` when no node
-    was marked or deleted.  `neutral` is odd and above 2n, where n bounds
-    the nodes of a tree: the states of nbw will do.
-    """
-    # new nodes are named from neutral up, above every old name, so the
-    # renaming makes them the youngest and deleting one emits nothing
+def safra_sprout(tree, nbw, neutral):
+    """The tree with an accepting child sprouted under every node that holds
+    accepting states, as (shape, labels): the shape is the tree with each
+    label replaced by its index in the list labels.  The sprout does not
+    depend on the edge relation, so a tree is sprouted once for all its
+    steps.  New nodes are named from neutral up, above every old name, so
+    the renaming of the step makes them the youngest and deleting one emits
+    nothing."""
     fresh = count(neutral)
+    labels = []
 
     def sprout(node):
         name, label, children = node
-        acc = frozenset(s for s in label if nbw.is_accepting(s))
+        labels.append(label)
+        at = len(labels) - 1
         children = tuple(sprout(c) for c in children)
+        acc = label & nbw.accepting
         if acc:
-            children = children + ((next(fresh), acc, ()),)
-        return (name, label, children)
+            labels.append(acc)
+            children += ((next(fresh), len(labels) - 1, ()),)
+        return (name, at, children)
 
-    def powerset(node):
-        name, label, children = node
-        return (name, nbw.step_set(label, edges), tuple(powerset(c) for c in children))
+    return sprout(tree), labels
 
-    def strip(node, banned):
-        name, label, children = node
-        label = label - banned
-        out_children = []
-        taken = set(banned)
-        for c in children:
-            c2 = strip(c, frozenset(taken))
-            out_children.append(c2)
-            taken |= c2[1]
-        return (name, label, tuple(out_children))
 
+def safra_step(shape, images, neutral):
+    """One deterministic step of a sprouted tree; returns (successor tree,
+    min-parity priority).  images holds the powerset step of each label of
+    the sprouted tree (see safra_sprout), so the step depends on the edge
+    relation only through them.
+
+    Phases, in one walk: keep each state only in the oldest sibling
+    containing it, delete empty nodes (an empty root leaves None), mark
+    nodes whose children cover them (deleting the children), and rename the
+    surviving nodes 1..k by age.  With f the least marked name and e the
+    least deleted old name, the priority is 2f when f < e, 2e - 1 when
+    e < f, and `neutral` when no node was marked or deleted.  `neutral` is
+    odd and above 2n, where n bounds the nodes of a tree: the states of the
+    bad-trace automaton will do.
+    """
     events = [neutral]  # the priority of each mark and deletion; the least wins
     kept = []  # names of the surviving nodes
 
-    def prune(node):
+    def walk(node, banned):
         # a deleted node's descendants and a marked node's children go
-        # unrecorded: their names are above the node's, so their events lose
-        name, label, children = node
+        # unrecorded: their names are above the node's, so their events lose;
+        # a child's label lies within its parent's, so an empty node's
+        # descendants are empty too
+        name, at, children = node
+        label = images[at] & ~banned
         if not label:
             events.append(2 * name - 1)
             return None
         first = len(kept)
-        children = tuple(c2 for c in children if (c2 := prune(c)) is not None)
-        if children and frozenset().union(*(c[1] for c in children)) == label:
+        out = []
+        union = 0
+        for c in children:
+            c2 = walk(c, banned | union)
+            if c2 is not None:
+                out.append(c2)
+                union |= c2[1]
+        if union == label:
             events.append(2 * name)
             del kept[first:]
-            children = ()
+            out = ()
         kept.append(name)
-        return (name, label, children)
+        return (name, label, tuple(out))
 
     def rename(node):
         name, label, children = node
         return (new[name], label, tuple(rename(c) for c in children))
 
-    tree = prune(strip(powerset(sprout(tree)), frozenset()))
+    tree = walk(shape, 0)
     priority = min(events)
-    if tree is None:
-        return None, priority
+    if tree is None or max(kept) == len(kept):  # already named 1..k
+        return tree, priority
     new = {name: i for i, name in enumerate(sorted(kept), start=1)}
     return rename(tree), priority
 
@@ -209,32 +241,34 @@ def breakpoint_construction(a, budget):
     O = {} has priority 0 and every other state 1.  Without priority 0 the
     construction is the plain subset construction.
     """
-    f0 = frozenset(q for q, p in a.priority.items() if p == 0)
+    f0 = sum(1 << q for q, p in a.priority.items() if p == 0)
+    full = (1 << a.n_states) - 1
     build = _Build(a, budget)
-    start = frozenset([a.initial])
-    init = build.state((start, start - f0))
+    start = 1 << a.initial
+    init = build.state((start, start & ~f0))
     trans = {}
     while build.todo:
         key = build.todo.pop()
         me = build.states[key]
-        active = tuple(sorted(key[0]))
+        active = members(key[0])
+        slot = slots(active, a.n_states)
         # choices are taken lazily, so each letter's work is charged before
         # the states it reaches are made, and the budget stops keep their order
         build.transitions(
             trans, me, ((letter, build.choices(active, letter)) for letter in a.alphabet),
-            lambda e: build.state(breakpoint_step(key, build.edge_of[e], f0)),
+            lambda e: build.state(breakpoint_step(key, build.edge_of[e], slot, full, f0)),
         )
     priority = {i: 1 if o else 0 for (_s, o), i in build.states.items()}
     return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
 
 
-def breakpoint_step(state, edges, f0):
-    """The breakpoint state (S', O') after the edge relation `edges`:
+def breakpoint_step(state, rel, slot, full, f0):
+    """The breakpoint state (S', O') after the edge relation rel:
     S' = post(S), and O' = post(O) - F0, or S' - F0 after a breakpoint."""
     s, o = state
-    s2 = frozenset([q2 for q, q2 in edges if q in s])
-    o2 = frozenset([q2 for q, q2 in edges if q in o]) if o else s2
-    return s2, o2 - f0
+    s2 = image(rel, s, slot, full)
+    o2 = image(rel, o, slot, full) if o else s2
+    return s2, o2 & ~f0
 
 
 def safra_construction(a, budget):
@@ -246,20 +280,25 @@ def safra_construction(a, budget):
     nbw = BadTraceNbw(a.priority)
     # above twice the states ('i', q) and ('g', q, r) of nbw, which bound the
     # nodes of a tree
-    neutral = 2 * len(a.priority) * (1 + len(nbw.odd)) + 1
-    t0 = safra_initial(nbw.initial(a.initial))
+    neutral = 2 * nbw.n * (1 + len(nbw.odd)) + 1
+    t0 = safra_initial(1 << a.initial)  # ('i', initial state)
     tree_ids = {t0: 0}
     tree_of = [t0]
     choice = {}  # tree id -> its choice id per letter
     steps = {}  # tree id -> {edge id: (successor tree id | None, step priority)}
     frontier = [0]
+    post = nbw.post
     while frontier:
         tid = frontier.pop()
         tree = tree_of[tid]
         # the root holds ('i', q) for every active state q
-        active = tuple(sorted(s[1] for s in tree[1] if s[0] == "i"))
+        active = members(tree[1] & nbw.full)
+        slot = slots(active, a.n_states)
+        shape, labels = safra_sprout(tree, nbw, neutral)
         tchoice = choice[tid] = []
         tsteps = steps[tid] = {}
+        # edge relations with equal images of every label step alike
+        by_images = {}
         seen = set()
         for letter in a.alphabet:
             c = build.choices(active, letter)
@@ -272,15 +311,20 @@ def safra_construction(a, budget):
             for e in build.rows[c][1]:
                 if e in tsteps:
                     continue
-                t2, prio = safra_step(tree, build.edge_of[e], nbw, neutral)
-                t2id = None
-                if t2 is not None:
-                    known = len(tree_of)
-                    t2id = _intern(tree_ids, tree_of, t2)
-                    if t2id == known:  # a new tree
-                        frontier.append(t2id)
-                        build.check_size(len(tree_of))
-                tsteps[e] = (t2id, prio)
+                rel = build.edge_of[e]
+                images = tuple([post(label, rel, slot) for label in labels])
+                step = by_images.get(images)
+                if step is None:
+                    t2, prio = safra_step(shape, images, neutral)
+                    t2id = None
+                    if t2 is not None:
+                        known = len(tree_of)
+                        t2id = _intern(tree_ids, tree_of, t2)
+                        if t2id == known:  # a new tree
+                            frontier.append(t2id)
+                            build.check_size(len(tree_of))
+                    step = by_images[images] = (t2id, prio)
+                tsteps[e] = step
 
     # pass 2: a state is (tree id, priority of the step into it plus one,
     # since a branch is good exactly when the bad-trace automaton rejects);
@@ -325,7 +369,9 @@ class _Build:
     its choice id, its rows and, per output state, its output transition.
     States are interned from hashable keys to ids in discovery order; a new
     key is pushed on `todo`.  Edge relations are interned to the ids that the
-    choice rows hold, `edge_of[e]` being relation e.
+    choice rows hold, `edge_of[e]` being relation e.  A relation is read
+    against the active states of the key that built it; one int built for
+    two keys shares an id, and each user reads it against its own key.
     """
 
     def __init__(self, a, budget):
@@ -379,7 +425,8 @@ class _Build:
         key = (active, tuple([self.transition_class(q, letter) for q in active]))
         c = self.choice_ids.get(key)
         if c is None:
-            got = _choice_rows(self.a.directions, active, [self.models[k] for k in key[1]],
+            got = _choice_rows(self.a.directions, self.a.n_states,
+                               [self.models[k] for k in key[1]],
                                self.budget, self.edge_ids, self.edge_of)
             c = self.choice_ids[key] = len(self.rows)
             self.rows.append(got)
@@ -426,16 +473,18 @@ class _Build:
         return f
 
 
-def _choice_rows(directions, active, per_state, budget, edge_ids, edge_of):
+def _choice_rows(directions, n, per_state, budget, edge_ids, edge_of):
     """Transition choices of the active states, as edge relations.
 
-    per_state holds the minimal models of each active state's transition.  A
-    choice picks one model per active state; along each direction it induces
-    the edge relation of (state, successor) pairs.  Returns (the choice count
-    for the work budget, the distinct edge ids in first-use order over
-    choices then directions, one row per choice holding its edge id per
-    direction).  Choices come in itertools.product order.  New edge relations
-    are interned into edge_ids / edge_of.
+    per_state holds the minimal models of the transition of each active
+    state, active[i] at i.  A choice picks one model per active state; along
+    each direction it induces the edge relation whose slice i, bits
+    [i * n, (i + 1) * n), holds the successors of active[i] in that
+    direction.  Returns (the choice count for the work budget, the distinct
+    edge ids in first-use order over choices then directions, one row per
+    choice holding its edge id per direction).  Choices come in
+    itertools.product order.  New edge relations are interned into
+    edge_ids / edge_of.
     """
     total = 1
     for m in per_state:
@@ -446,29 +495,28 @@ def _choice_rows(directions, active, per_state, budget, edge_ids, edge_of):
             )
     if not all(per_state):  # an active state cannot move: no choice
         return 1, (), []
-    # each model's moves grouped by direction, once
+    # each model's moves grouped by direction into its state's slice, once
     by_dir = []
-    for q, qmodels in zip(active, per_state):
+    for i, qmodels in enumerate(per_state):
         groups = []
         for m in qmodels:
             g = {}
             for d, q2 in m:
-                g.setdefault(d, set()).add((q, q2))
-            groups.append({d: frozenset(pairs) for d, pairs in g.items()})
+                g[d] = g.get(d, 0) | 1 << (i * n + q2)
+            groups.append(g)
         by_dir.append(groups)
     mentioned = {d for groups in by_dir for g in groups for d in g}
-    empty = frozenset()
     # per direction, the relation of every choice, one active state at a time;
     # a direction no model mentions has the empty relation in every choice
     per_dir = []
     for d in directions:
         if d not in mentioned:
-            per_dir.append([_intern(edge_ids, edge_of, empty)] * total)
+            per_dir.append([_intern(edge_ids, edge_of, 0)] * total)
             continue
-        rels = [empty]
+        rels = [0]
         for groups in by_dir:
-            parts = [g.get(d, empty) for g in groups]
-            rels = [r | p if p else r for r in rels for p in parts]
+            parts = [g.get(d, 0) for g in groups]
+            rels = [r | p for r in rels for p in parts]
         per_dir.append([_intern(edge_ids, edge_of, r) for r in rels])
     rows = list(zip(*per_dir))
     return total, tuple(dict.fromkeys(chain.from_iterable(rows))), rows

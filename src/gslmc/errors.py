@@ -21,4 +21,10 @@ class UnsupportedGradeError(GslError):
 
 
 class ResourceBudgetError(GslError):
-    """A construction exceeded the configured state budget."""
+    """A construction exceeded the configured state budget.
+
+    `context` is the CompilationContext of the compilation that stopped, so
+    the stages finished before the stop can be reported.
+    """
+
+    context = None

@@ -226,6 +226,25 @@ class TestStatsAndStages:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_stats_on_a_budget_stop_report_the_finished_stages(self, capsys):
+        # the F-goal desk3 unique-NE check stops on work in its fourth stage;
+        # the stop and the stages before it are part of the pinned output
+        model = os.path.join(DATA, "desk3.json")
+        code, sentence, _ = run(capsys, "gen", "unique-ne", model,
+                                "--objectives", os.path.join(DATA, "desk3_obj.json"))
+        assert code == 0
+        code, out, err = run(capsys, "check", model, "-f", sentence.strip(), "--stats")
+        assert code == 4
+        assert out.splitlines() == [
+            "quantifier-rank: 3",
+            "quantifier-block-rank: 2",
+            "nondeterminization-stages: 2",
+            "stage 1: nondeterminize depth=2 copies=2 in=5 out=8",
+            "stage 2: nondeterminize depth=1 copies=1 in=8 out=107",
+            "stage 3: nondeterminize depth=2 copies=2 in=5 out=8",
+        ]
+        assert err == "error: determinization work exceeds the budget (100000)\n"
+
 
 def constant_machine():
     return {

@@ -18,20 +18,103 @@ from gslmc.automata import is_npt, member, simplify
 from gslmc.determinize import (
     DEFAULT_BUDGET,
     BadTraceNbw,
+    _choice_rows,
     breakpoint_construction,
     breakpoint_step,
+    image,
+    members,
     nondeterminize,
     safra_construction,
     safra_initial,
+    safra_sprout,
     safra_step,
+    slots,
 )
 from gslmc.errors import ResourceBudgetError
 from test_automata import random_apt, random_tree
 
+# ---------------------------------------------------------------------------
+# reference word automata over frozensets: relations are sets of (state,
+# successor) pairs, state sets are frozensets.  The packed production code is
+# checked against these.
+
+
+class RefBadTraceNbw:
+    """The bad-trace Buechi automaton with explicit states: ('i', q) wanders
+    along a trace; ('g', q, r) has guessed the odd limit priority r and
+    checks pr >= r forever with pr == r infinitely often."""
+
+    def __init__(self, priority):
+        self.priority = dict(priority)
+        self.odd = sorted(p for p in set(self.priority.values()) if p % 2 == 1)
+
+    def states(self):
+        return [("i", q) for q in self.priority] + [
+            ("g", q, r) for r in self.odd for q in self.priority]
+
+    def initial(self, q):
+        return frozenset([("i", q)])
+
+    def is_accepting(self, s):
+        return s[0] == "g" and self.priority[s[1]] == s[2]
+
+    def step_state(self, s, edges):
+        out = set()
+        if s[0] == "i":
+            q = s[1]
+            for (a, b) in edges:
+                if a == q:
+                    out.add(("i", b))
+                    for r in self.odd:
+                        if r <= self.priority[b]:
+                            out.add(("g", b, r))
+        else:
+            _, q, r = s
+            for (a, b) in edges:
+                if a == q and self.priority[b] >= r:
+                    out.add(("g", b, r))
+        return out
+
+    def step_set(self, states, edges):
+        out = set()
+        for s in states:
+            out |= self.step_state(s, edges)
+        return frozenset(out)
+
+
+def ref_image(edges, states):
+    return frozenset(b for a, b in edges if a in states)
+
+
+def ref_breakpoint_step(state, edges, f0):
+    s, o = state
+    s2 = ref_image(edges, s)
+    o2 = ref_image(edges, o) if o else s2
+    return s2, o2 - f0
+
+
+def mask(states):
+    return sum(1 << q for q in states)
+
+
+def pack_relation(edges, active, n):
+    """The packed relation of the pairs leaving the active states: slice i
+    holds the successors of active[i]."""
+    return sum(1 << (i * n + b) for i, q in enumerate(active) for a, b in edges if a == q)
+
+
+def pack_states(states, nbw):
+    """The packed set of the reference bad-trace states."""
+    out = 0
+    for s in states:
+        offset = 0 if s[0] == "i" else nbw.n * (1 + nbw.odd.index(s[2]))
+        out |= 1 << (offset + s[1])
+    return out
+
 
 def nbw_accepts_lasso(nbw, q0, prefix, cycle):
-    """Independent check: some run over prefix.cycle^w hits an accepting
-    state on a reachable cycle."""
+    """Independent check: some run of the reference bad-trace automaton over
+    prefix.cycle^w hits an accepting state on a reachable cycle."""
     P, C = len(prefix), len(cycle)
 
     def letter(pos):
@@ -70,28 +153,35 @@ def safra_accepts_lasso(priority, q0, prefix, cycle):
     """Run the compact Safra trees on the lasso; accept iff the least
     priority on its eventual loop, complemented (shifted by one), is even."""
     nbw = BadTraceNbw(priority)
-    neutral = 2 * len(priority) * (1 + len(nbw.odd)) + 1
+    neutral = 2 * nbw.n * (1 + len(nbw.odd)) + 1
 
     def step(tree, edges):
         if tree is None:  # no trace goes on, so none is bad
             return None, 0
-        tree, prio = safra_step(tree, edges, nbw, neutral)
+        active = members(tree[1] & nbw.full)
+        rel, slot = pack_relation(edges, active, nbw.n), slots(active, nbw.n)
+        shape, labels = safra_sprout(tree, nbw, neutral)
+        images = [nbw.post(label, rel, slot) for label in labels]
+        tree, prio = safra_step(shape, images, neutral)
         return tree, prio + 1
 
-    start = safra_initial(nbw.initial(q0))
+    start = safra_initial(1 << q0)
     return min(loop_outputs(step, start, prefix, cycle)) % 2 == 0
 
 
 def breakpoint_accepts_lasso(priority, q0, prefix, cycle):
     """Run the breakpoint states on the lasso; accept iff a breakpoint
     (O empty, priority 0) lies on its eventual loop."""
-    f0 = frozenset(q for q, p in priority.items() if p == 0)
+    n = len(priority)
+    f0 = mask(q for q, p in priority.items() if p == 0)
 
     def step(state, edges):
-        state = breakpoint_step(state, edges, f0)
+        active = members(state[0])
+        rel = pack_relation(edges, active, n)
+        state = breakpoint_step(state, rel, slots(active, n), (1 << n) - 1, f0)
         return state, not state[1]
 
-    start = (frozenset([q0]), frozenset([q0]) - f0)
+    start = (1 << q0, (1 << q0) & ~f0)
     return any(loop_outputs(step, start, prefix, cycle))
 
 
@@ -133,14 +223,14 @@ class TestTraceMonitor:
         lassos = itertools.chain(random_lassos(random.Random(7), 150, 3),
                                  random_lassos(random.Random(7), 150, 5))
         for priority, q0, prefix, cycle in lassos:
-            has_bad = nbw_accepts_lasso(BadTraceNbw(priority), q0, prefix, cycle)
+            has_bad = nbw_accepts_lasso(RefBadTraceNbw(priority), q0, prefix, cycle)
             assert has_bad != safra_accepts_lasso(priority, q0, prefix, cycle)
 
 
 class TestBreakpoint:
     def test_breakpoint_complements_bad_trace_search(self):
         for priority, q0, prefix, cycle in random_lassos(random.Random(11), 300, 1):
-            has_bad = nbw_accepts_lasso(BadTraceNbw(priority), q0, prefix, cycle)
+            has_bad = nbw_accepts_lasso(RefBadTraceNbw(priority), q0, prefix, cycle)
             assert has_bad != breakpoint_accepts_lasso(priority, q0, prefix, cycle)
 
     def test_breakpoint_agrees_with_safra_and_the_input(self):
@@ -164,6 +254,64 @@ class TestBreakpoint:
         # that always leaves for a priority-0 state stays apart from it
         assert sum(b for b, _ in sizes) < sum(s for _, s in sizes)
         assert sum(b <= s for b, s in sizes) >= 0.9 * len(sizes)
+
+
+class TestPackedSets:
+    """The packed relations, images and steps equal the reference ones."""
+
+    # sizes on both sides of 32 and 64 states, up to 70
+    SIZES = (1, 2, 3, 31, 32, 33, 63, 64, 65, 70)
+
+    def test_packed_steps_equal_the_reference(self):
+        rng = random.Random(41)
+        for trial in range(160):
+            n = self.SIZES[trial % len(self.SIZES)] if trial < 40 else rng.randint(1, 70)
+            priority = {q: rng.randint(0, 5) for q in range(n)}
+            active = tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 12)))))
+            # each active state's models over two directions; a choice row's
+            # relation per direction, from _choice_rows, is the packed one
+            per_state = [[frozenset((rng.randrange(2), rng.randrange(n))
+                                    for _ in range(rng.randint(0, 4)))
+                          for _ in range(rng.randint(1, 2))] for _ in active]
+            edge_ids, edge_of = {}, []
+            _, _, rows = _choice_rows((0, 1), n, per_state, DEFAULT_BUDGET, edge_ids, edge_of)
+            choices = itertools.product(*per_state)
+            for row, picks in zip(rows[:6], choices):
+                for d, e in zip((0, 1), row):
+                    edges = frozenset((q, q2) for q, m in zip(active, picks)
+                                      for d2, q2 in m if d2 == d)
+                    rel = edge_of[e]
+                    assert rel == pack_relation(edges, active, n)
+                    self.check_steps(rng, priority, active, edges, rel)
+
+    @staticmethod
+    def check_steps(rng, priority, active, edges, rel):
+        n = len(priority)
+        full = (1 << n) - 1
+        slot = slots(active, n)
+        s = frozenset(q for q in active if rng.random() < 0.6)
+        o = frozenset(q for q in s if rng.random() < 0.5)
+        f0 = frozenset(q for q in range(n) if priority[q] == 0)
+        assert image(rel, mask(s), slot, full) == mask(ref_image(edges, s))
+        s2, o2 = ref_breakpoint_step((s, o), edges, f0)
+        assert breakpoint_step((mask(s), mask(o)), rel, slot, full, mask(f0)) == (mask(s2),
+                                                                              mask(o2))
+        ref, nbw = RefBadTraceNbw(priority), BadTraceNbw(priority)
+        everything = ref.states()
+        assert nbw.accepting == pack_states(filter(ref.is_accepting, everything), nbw)
+        label = frozenset(x for x in everything if x[1] in active and rng.random() < 0.4)
+        assert nbw.post(pack_states(label, nbw), rel, slot) == pack_states(
+            ref.step_set(label, edges), nbw)
+
+    def test_relations_take_slices_of_active_states_only(self):
+        # one active state of 2,000: its relations need one 2,000-bit slice,
+        # not one per state below it
+        n = 2000
+        models = [frozenset([(0, 1999), (1, 0)]), frozenset([(0, 5)])]
+        edge_ids, edge_of = {}, []
+        _choice_rows((0, 1), n, [models], DEFAULT_BUDGET, edge_ids, edge_of)
+        assert len(edge_of) == 4
+        assert all(rel.bit_length() <= 1 * n for rel in edge_of)
 
 
 class TestNondeterminize:
