@@ -13,6 +13,16 @@ An attracted vertex of the player points at the frontier vertex it was
 reached through, so its attractor rank strictly decreases along the
 strategy.
 
+Every game is split into a transient part and a core.  The transient part
+is the least set of vertices whose predecessors are all transient (every
+vertex without a predecessor is one); no play visits a transient vertex
+twice, so its priority cannot matter.  The core is the rest: it is closed
+under successors and holds every vertex on or below a cycle.  The winner of
+a play depends only on the vertices it visits infinitely often, which all
+lie in the core, so Zielonka's algorithm solves the core alone, and a
+retrograde pass over the transient vertices, successors first, extends its
+regions and strategies to the whole game.
+
 Zielonka's algorithm runs on an explicit stack over one shared subgame mask.
 A frame removes the attractor it splits off from the mask and keeps only the
 indices of those vertices and their attractor strategy; it puts them back
@@ -49,7 +59,11 @@ def _distinct(vs, stamp):
 
 
 class ParityGame:
-    """Vertices carry an owner, a priority, and a successor list."""
+    """Vertices carry an owner, a priority, and a successor list.
+
+    transient holds the transient vertices in topological order: every
+    predecessor of a transient vertex comes before it.
+    """
 
     def __init__(self, owners, priorities, successors):
         n = len(owners)
@@ -73,11 +87,29 @@ class ParityGame:
         listed_slot[self.succ_ptr[dead]] = False
         self.succ_dat[listed_slot] = listed
         self.succ_dat[self.succ_ptr[dead]] = dead
-        # predecessors of w in increasing source order, with multiplicity
-        order = np.argsort(self.succ_dat, kind="stable")
-        self.pred_dat = np.repeat(np.arange(n, dtype=np.int64), deg)[order]
+        # predecessors of w in increasing source order, with multiplicity:
+        # sorting the edges' values target * n + source gives that order with
+        # any sort, since equal values are equal edges; sorted in place, so
+        # one edge-sized array is sorted and no index array is made
+        pred = self.succ_dat * n
+        pred += np.repeat(np.arange(n, dtype=np.int64), deg)
+        pred.sort()
+        pred %= n
+        self.pred_dat = pred
+        indeg = np.bincount(self.succ_dat, minlength=n)
         self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.succ_dat, minlength=n), out=self.pred_ptr[1:])
+        np.cumsum(indeg, out=self.pred_ptr[1:])
+        # transient vertices, predecessors first (Kahn's order); a dead end
+        # has its self-loop, so it is never transient
+        peel = np.flatnonzero(indeg == 0).tolist()
+        if peel:
+            left = indeg.tolist()
+            for v in peel:  # grows while it is read
+                for w in successors[v]:
+                    left[w] -= 1
+                    if not left[w]:
+                        peel.append(w)
+        self.transient = np.array(peel, dtype=np.int64)
 
     def successors_of(self, v):
         return self.succ_dat[self.succ_ptr[v] : self.succ_ptr[v + 1]].tolist()
@@ -157,11 +189,15 @@ def solve_zielonka(game):
     Returns (win, strategy): win[v] in {0,1} is the winner at v; strategy[v]
     is the successor the winner's strategy picks at vertices the winner owns
     inside their region (-1 where the owner is the loser there).
+
+    The recursion starts on the core; the transient vertices are settled
+    afterwards by _settle_transient.
     """
     n = game.n
     win = np.full(n, -1, dtype=np.int8)
     strat = np.full(n, -1, dtype=np.int64)
-    sub = np.ones(n, dtype=bool)  # the subgame of the top frame
+    sub = np.ones(n, dtype=bool)  # the subgame of the top frame: the core
+    sub[game.transient] = False
     stack = [_Frame()]
     while stack:
         top = stack[-1]
@@ -211,7 +247,35 @@ def solve_zielonka(game):
         win[sub] = -1
         strat[sub] = -1
         top.attr = None
+    _settle_transient(game, win, strat)
     return win, strat
+
+
+def _settle_transient(game, win, strat):
+    """Extend the core's regions and strategies to the transient vertices,
+    successors first: the owner wins at v iff some successor is in the
+    owner's region, and moves to the first such successor."""
+    t = game.transient
+    if not t.size:
+        return
+    succ, lens = _gather(game.succ_ptr, game.succ_dat, t)
+    succ = succ.tolist()
+    bounds = [0] + lens.cumsum().tolist()
+    owners = game.owner[t].tolist()
+    vs = t.tolist()
+    moves = [-1] * len(vs)
+    w = win.tolist()
+    for i in range(len(vs) - 1, -1, -1):
+        o = owners[i]
+        for u in succ[bounds[i] : bounds[i + 1]]:
+            if w[u] == o:
+                w[vs[i]] = o
+                moves[i] = u
+                break
+        else:
+            w[vs[i]] = 1 - o
+    win[t] = [w[v] for v in vs]
+    strat[t] = moves
 
 
 def solve_fixpoint(game, budget=4096):

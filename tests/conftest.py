@@ -2,8 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from gslmc.cgs import Cgs
+
+# property tests draw a fixed sequence of examples: reruns are identical,
+# nothing is stored between runs, and the example count bounds their time
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=200)
+settings.load_profile("tier1")
 
 
 def make_cgs(rng, n_states, n_agents, n_actions, atoms=("p",)):

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gslmc.paritygame import (
     REFUTER,
@@ -55,6 +57,31 @@ class TestExamples:
         win, strat = solve_zielonka(g)
         assert win[0] == VERIFIER
         assert strat[0] == 1
+
+
+def assert_solved(game):
+    """Zielonka's regions equal the fixpoint solver's, and both players'
+    strategies win on their regions."""
+    win, strat = solve_zielonka(game)
+    assert list(win) == list(solve_fixpoint(game))
+    for player in (VERIFIER, REFUTER):
+        assert verify_strategy(game, win == player, player, strat)
+
+
+@st.composite
+def small_games(draw):
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    return ParityGame(
+        draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+        draw(st.lists(st.lists(vertex, max_size=3), min_size=n, max_size=n)),
+    )
+
+
+@given(small_games())
+def test_zielonka_matches_fixpoint_and_strategies_verify(game):
+    assert_solved(game)
 
 
 class TestAgreement:
@@ -154,15 +181,130 @@ class TestAttractorDefinition:
                     assert_attractor_matches_definition(g, player, seed, sub)
 
 
+def dag_over_core(rng):
+    """A random cyclic core with a random DAG of both owners hung above it,
+    vertex ids shuffled.  Successor lists may repeat a vertex or be empty."""
+    n_core = rng.randint(1, 12)
+    n = n_core + rng.randint(1, 24)
+    succs = [
+        [rng.randrange(n_core) for _ in range(rng.randint(0, 3))] for _ in range(n_core)
+    ]
+    # DAG vertex v moves only to core vertices and to DAG vertices above v
+    succs += [
+        [rng.randrange(v + 1, n) if rng.random() < 0.5 and v + 1 < n else rng.randrange(n_core)
+         for _ in range(rng.randint(0, 3))]
+        for v in range(n_core, n)
+    ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    shuffled = [None] * n
+    for v, row in enumerate(succs):
+        shuffled[perm[v]] = [perm[w] for w in row]
+    return ParityGame(
+        [rng.randrange(2) for _ in range(n)],
+        [rng.randrange(6) for _ in range(n)],
+        shuffled,
+    )
+
+
+def transient_by_definition(game):
+    """Least fixpoint T = {v : every predecessor of v is in T}."""
+    preds = [set() for _ in range(game.n)]
+    for v in range(game.n):
+        for w in game.successors_of(v):
+            preds[w].add(v)
+    t = set()
+    while True:
+        grown = {v for v in range(game.n) if preds[v] <= t}
+        if grown == t:
+            return t
+        t = grown
+
+
+class TestTransient:
+    def test_dag_over_core_games(self, rng):
+        transient = 0
+        for _ in range(25):
+            g = dag_over_core(rng)
+            assert_solved(g)
+            transient += g.transient.size
+        assert transient > 200
+
+    def test_transient_is_the_least_fixpoint_in_topological_order(self, rng):
+        for i in range(200):
+            g = dag_over_core(rng) if i % 2 else random_game(rng, max_v=12)
+            order = g.transient.tolist()
+            assert len(set(order)) == len(order)
+            assert set(order) == transient_by_definition(g)
+            pos = {v: k for k, v in enumerate(order)}
+            for v in range(g.n):
+                for w in g.successors_of(v):
+                    if w in pos:
+                        assert pos[v] < pos[w]
+
+    def test_chains_call_attractor_at_most_once(self, monkeypatch):
+        calls = []
+        attractor = ParityGame.attractor
+
+        def counted(game, *args):
+            calls.append(args)
+            return attractor(game, *args)
+
+        monkeypatch.setattr(ParityGame, "attractor", counted)
+        n = 2000
+        owners = np.random.default_rng(5).integers(2, size=n).tolist()
+        # tail chain (only the sink's priority is even) and head chain
+        for prios in ([1] * (n - 1) + [0], list(range(n))):
+            g = chain(n, owners, prios)
+            assert g.transient.tolist() == list(range(n - 1))
+            calls.clear()
+            win, _ = solve_zielonka(g)
+            assert len(calls) <= 1
+            assert (win == prios[-1] % 2).all()
+
+
 class TestRegressions:
     def test_deep_head_chain_within_default_recursion_limit(self):
-        # one distinct priority per vertex: Zielonka's recursion is n deep
+        # one distinct priority per vertex; every vertex but the sink is
+        # transient, so the chain is settled by one retrograde pass of n steps
         n = 3000
         assert sys.getrecursionlimit() < n
         rng = np.random.default_rng(3)
         g = chain(n, rng.integers(2, size=n).tolist(), list(range(n)))
         win, strat = solve_zielonka(g)
         assert (win == REFUTER).all()  # the sink's loop has odd priority n-1
+        for player in (VERIFIER, REFUTER):
+            assert verify_strategy(g, win == player, player, strat)
+
+    def test_deep_head_chain_with_a_loop_at_the_head(self):
+        # the loop on vertex 0 leaves no vertex transient: one distinct
+        # priority per vertex makes Zielonka's stack n frames deep
+        n = 3000
+        assert sys.getrecursionlimit() < n
+        owners = np.random.default_rng(3).integers(2, size=n).tolist()
+        succs = [[1, 0]] + [[v + 1] for v in range(1, n - 1)] + [[n - 1]]
+        g = ParityGame(owners, list(range(n)), succs)
+        assert g.transient.size == 0
+        win, strat = solve_zielonka(g)
+        # only the owner of vertex 0 can stay on its loop of priority 0
+        assert win[0] == owners[0]
+        assert (win[1:] == REFUTER).all()  # the sink's loop has odd priority n-1
+        for player in (VERIFIER, REFUTER):
+            assert verify_strategy(g, win == player, player, strat)
+
+    def test_long_attractor_on_tail_chain_with_a_loop_at_the_head(self):
+        # the sink's priority 0 is the least: its attractor grows backwards
+        # along the chain for n rounds
+        n = 2000
+        owners = np.random.default_rng(4).integers(2, size=n).tolist()
+        succs = [[1, 0]] + [[v + 1] for v in range(1, n - 1)] + [[n - 1]]
+        g = ParityGame(owners, [1] * (n - 1) + [0], succs)
+        assert g.transient.size == 0
+        win, strat = solve_zielonka(g)
+        # the owner of vertex 0 wins there: Verifier moves on to the sink,
+        # Refuter stays on the loop of priority 1
+        assert win[0] == owners[0]
+        assert (win[1:] == VERIFIER).all()
         for player in (VERIFIER, REFUTER):
             assert verify_strategy(g, win == player, player, strat)
 
@@ -184,6 +326,22 @@ class TestRegressions:
         assert dump(g) == "0 0 2 1 1 2\n1 1 0 1\n2 0 1 2\n3 1 5 0 3 0\n"
         assert g.pred_dat.tolist() == [3, 3, 0, 0, 1, 0, 2, 3]
         assert g.pred_ptr.tolist() == [0, 2, 5, 7, 8]
+
+    def test_predecessors_in_stable_order(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 200))
+            # repeats, self-loops and empty rows (dead ends) all occur
+            g = ParityGame(
+                rng.integers(2, size=n).tolist(),
+                [0] * n,
+                [rng.integers(n, size=rng.integers(0, 6)).tolist() for _ in range(n)],
+            )
+            order = np.argsort(g.succ_dat, kind="stable")
+            sources = np.repeat(np.arange(n), np.diff(g.succ_ptr))
+            assert g.pred_dat.tolist() == sources[order].tolist(), seed
+            indeg = np.bincount(g.succ_dat, minlength=n)
+            assert g.pred_ptr.tolist() == [0] + np.cumsum(indeg).tolist(), seed
 
     def test_successor_out_of_range_rejected(self):
         for bad in (2, -1):
