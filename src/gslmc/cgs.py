@@ -1,11 +1,10 @@
-"""Concurrent game structures, plays, finite-memory strategies, assignments."""
+"""Concurrent game structures and finite-memory strategies."""
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from gslmc.errors import ModelError
-from gslmc import formula as fm
 
 
 @dataclass(frozen=True)
@@ -17,15 +16,21 @@ class Cgs:
     initial: str
     label: dict
     trans: dict  # (state, decision) -> state; decision = tuple aligned with agents
+    succ: dict = field(init=False, repr=False, compare=False)  # state -> successors
 
-    def decisions(self):
-        return itertools.product(self.actions, repeat=len(self.agents))
+    def __post_init__(self):
+        reached = {q: set() for q in self.states}
+        for (q, _d), q2 in self.trans.items():
+            reached[q].add(q2)
+        # in the order of states, so that nothing depends on string hashes
+        succ = {q: tuple(s for s in self.states if s in reached[q]) for q in self.states}
+        object.__setattr__(self, "succ", succ)
 
     def step(self, state, decision):
         return self.trans[(state, tuple(decision))]
 
     def successors(self, state):
-        return {self.trans[(state, d)] for d in self.decisions()}
+        return self.succ[state]
 
 
 def _require(cond, msg):
@@ -133,7 +138,7 @@ def load_cgs(document):
 
 
 # ---------------------------------------------------------------------------
-# strategies and plays
+# strategies
 
 
 @dataclass(frozen=True)
@@ -158,85 +163,3 @@ def memoryless(cgs, choice):
         update={(0, s): 0 for s in cgs.states},
         output={(0, s): choice[s] for s in cgs.states},
     )
-
-
-@dataclass(frozen=True)
-class LassoPlay:
-    """Ultimately periodic play: finite prefix followed by a repeated cycle."""
-
-    prefix: tuple
-    cycle: tuple
-
-    def state_at(self, i):
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
-
-    def positions(self):
-        return len(self.prefix) + len(self.cycle)
-
-    def next_position(self, i):
-        j = i + 1
-        return len(self.prefix) if j >= self.positions() else j
-
-
-def induced_play(cgs, start, profile):
-    """Unique play from `start` under a full agent -> FiniteStrategy profile.
-
-    Returned as a lasso; finite because (state, memories) configurations
-    repeat within |St| * prod(memory sizes) steps.
-    """
-    for a in cgs.agents:
-        if a not in profile:
-            raise ModelError(f"profile misses a strategy for agent {a!r}")
-    order = list(profile)
-    cfg = (start, tuple(profile[e].init for e in order))
-    seen = {cfg: 0}
-    states = [start]
-    while True:
-        state, mems = cfg
-        dec = tuple(profile[a].output[(mems[order.index(a)], state)] for a in cgs.agents)
-        nxt = cgs.step(state, dec)
-        mems2 = tuple(profile[e].update[(m, nxt)] for e, m in zip(order, mems))
-        cfg = (nxt, mems2)
-        if cfg in seen:
-            k = seen[cfg]
-            return LassoPlay(prefix=tuple(states[:k]), cycle=tuple(states[k:]))
-        seen[cfg] = len(states)
-        states.append(nxt)
-
-
-def eval_ltl_on_lasso(f, lasso, label):
-    """Truth of a quantifier- and binding-free formula on a lasso word."""
-    memo = {}
-
-    def sat(i, g):
-        key = (i, id(g))
-        if key in memo:
-            return memo[key]
-        if isinstance(g, fm.Atom):
-            out = g.name in label[lasso.state_at(i)]
-        elif isinstance(g, fm.Not):
-            out = not sat(i, g.sub)
-        elif isinstance(g, fm.Or):
-            out = sat(i, g.left) or sat(i, g.right)
-        elif isinstance(g, fm.Next):
-            out = sat(lasso.next_position(i), g.sub)
-        elif isinstance(g, fm.Until):
-            out = False
-            j = i
-            for _ in range(lasso.positions() + 1):
-                if sat(j, g.right):
-                    out = True
-                    break
-                if not sat(j, g.left):
-                    break
-                j = lasso.next_position(j)
-        elif isinstance(g, (fm.ExistsGraded, fm.Bind)):
-            raise ModelError("formula contains strategic operators")
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        memo[key] = out
-        return out
-
-    return sat(0, f)

@@ -228,6 +228,8 @@ def _gen_formula(kind, cgs, objectives, k):
 
 
 def cmd_gen(args):
+    if args.k < 0:
+        raise ParseError(f"--k must be a natural number, not {args.k}")
     cgs = _load_model(args.model)
     with open(args.objectives) as fh:
         objectives = sol.load_objectives(json.load(fh), cgs)
@@ -237,6 +239,9 @@ def cmd_gen(args):
 
 
 def cmd_oracle(args):
+    if args.memory < 1:
+        # no machine has fewer than one memory state: nothing to enumerate
+        raise ParseError(f"--memory must be at least 1, not {args.memory}")
     cgs = _load_model(args.model)
     text = _formula_text(args)
     f = fm.parse_formula(text, set(cgs.agents))

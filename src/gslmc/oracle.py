@@ -4,14 +4,15 @@ Evaluates formulas by literally enumerating finite-memory strategy machines
 at quantifiers and following induced plays at temporal operators.  Used as
 independent ground truth for the automata pipeline on small instances; an
 existential verdict is exact only under a stated justification, otherwise
-it is a lower bound (richer strategies could only add witnesses).
+it is a lower bound (richer strategies could only add witnesses).  The
+memoryless equilibrium counter reads its payoffs off the same evaluator.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 from gslmc import formula as fm
-from gslmc.cgs import FiniteStrategy
+from gslmc.cgs import FiniteStrategy, memoryless
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 
 DEFAULT_PROFILE_BUDGET = 200_000
@@ -20,9 +21,11 @@ EXACT = "exact"
 LOWER_BOUND = "lower-bound-only"
 
 
-def enumerate_strategies(cgs, memory_bound, budget=DEFAULT_PROFILE_BUDGET):
+def enumerate_strategies(cgs, memory_bound, budget=DEFAULT_PROFILE_BUDGET, start=None):
     """All finite-memory strategies with at most memory_bound memory states,
-    deduplicated by the history function they compute."""
+    one per history function they compute from start (default: the initial
+    state)."""
+    start = cgs.initial if start is None else start
     n_st = len(cgs.states)
     total = 0
     for k in range(1, memory_bound + 1):
@@ -40,7 +43,7 @@ def enumerate_strategies(cgs, memory_bound, budget=DEFAULT_PROFILE_BUDGET):
             for outp in product(cgs.actions, repeat=len(cells)):
                 output = dict(zip(cells, outp))
                 s = FiniteStrategy(tuple(range(k)), 0, update, output)
-                sig = strategy_signature(cgs, s, cgs.initial)
+                sig = strategy_signature(cgs, s, start)
                 if sig not in seen:
                     seen.add(sig)
                     out.append(s)
@@ -144,120 +147,150 @@ def oracle_check(
     ev = _Evaluator(cgs, memory_bound, budget)
     env = {}
     if assignment:
-        env = {x: (s, s.init) for x, s in assignment.items()}
+        env = {x: ev.start(s) for x, s in assignment.items()}
     free = fm.free_placeholders(f, set(cgs.agents))
     missing = free - set(env)
     if missing:
         raise ModelError(f"oracle needs strategies for free names: {sorted(missing)}")
-    verdict = ev.eval(f, cgs.initial, _freeze(env))
+    i = ev.intern(f)
+    verdict = ev.eval(i, cgs.initial, _freeze(env))
     count = None
     if isinstance(f, fm.ExistsGraded) and not assignment:
-        count = ev.count_witnesses(f, cgs.initial, _freeze({}))
+        count = ev.count_witnesses(i, cgs.initial, ())
     exact = justification is not None or _auto_exact(cgs, f)
     return OracleResult(verdict, EXACT if exact else LOWER_BOUND, count)
 
 
 def _freeze(env):
-    return tuple(sorted(env.items(), key=lambda kv: kv[0]))
+    """An environment {name: (machine id, memory)} as a memo key."""
+    return tuple(sorted(env.items()))
 
 
 class _Evaluator:
+    """Formulas and machines are interned to small ints, so the memo is
+    keyed by values: (formula id, state, frozen environment)."""
+
     def __init__(self, cgs, memory_bound, budget):
         self.cgs = cgs
         self.memory_bound = memory_bound
         self.budget = budget
         self.memo = {}
-        self._pool = None
+        self.nodes = []  # formula id -> (formula, ids of its subformulas)
+        self._node_ids = {}
+        self.machines = []  # machine id -> FiniteStrategy
+        self._machine_ids = {}
+        self._pools = {}  # state -> machine ids, one per behaviour from it
 
-    def pool(self):
-        if self._pool is None:
-            self._pool = enumerate_strategies(self.cgs, self.memory_bound, self.budget)
-        return self._pool
+    def intern(self, f):
+        """The id of f's value; equal subformulas share one id."""
+        kids = []
+        for g in fm.subformulas(f):
+            kids.append(self.intern(g))
+        if isinstance(f, fm.Atom):
+            own = f.name
+        elif isinstance(f, fm.Bind):
+            own = (f.agent, f.var)
+        elif isinstance(f, fm.ExistsGraded):
+            own = (f.vars, f.grade)
+        else:
+            own = None
+        key = (type(f), own, *kids)
+        i = self._node_ids.get(key)
+        if i is None:
+            i = self._node_ids[key] = len(self.nodes)
+            self.nodes.append((f, kids))
+        return i
 
-    @staticmethod
-    def _envkey(env):
-        return tuple((x, id(s), m) for x, (s, m) in env)
+    def start(self, s):
+        """(machine id, initial memory) of machine s."""
+        key = (s.init, frozenset(s.update.items()), frozenset(s.output.items()))
+        m = self._machine_ids.get(key)
+        if m is None:
+            m = self._machine_ids[key] = len(self.machines)
+            self.machines.append(s)
+        return m, s.init
 
-    def eval(self, f, q, env):
-        key = (id(f), q, self._envkey(env))
-        if key in self.memo:
-            return self.memo[key]
-        self.memo[key] = out = self._eval(f, q, dict(env))
+    def pool(self, q):
+        """The machines a quantifier at q ranges over."""
+        if q not in self._pools:
+            self._pools[q] = [
+                self.start(s)
+                for s in enumerate_strategies(self.cgs, self.memory_bound, self.budget, q)
+            ]
+        return self._pools[q]
+
+    def eval(self, i, q, env):
+        key = (i, q, env)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self._eval(i, q, env)
         return out
 
     def _advance(self, env, arrived):
         """Shift every machine by the state just reached."""
-        return {x: (s, s.update[(m, arrived)]) for x, (s, m) in env.items()}
+        return tuple(
+            (x, (m, self.machines[m].update[(mem, arrived)])) for x, (m, mem) in env
+        )
 
     def _decision(self, env, q):
+        bound = dict(env)
         try:
-            return tuple(env[a][0].output[(env[a][1], q)] for a in self.cgs.agents)
+            return tuple(
+                self.machines[bound[a][0]].output[(bound[a][1], q)] for a in self.cgs.agents
+            )
         except KeyError as e:
             raise ModelError(f"agent {e.args[0]!r} is unbound at a temporal operator")
 
-    def _eval(self, f, q, env):
-        cgs = self.cgs
+    def _eval(self, i, q, env):
+        f, kids = self.nodes[i]
         if isinstance(f, fm.Atom):
-            return f.name in cgs.label[q]
+            return f.name in self.cgs.label[q]
         if isinstance(f, fm.Not):
-            return not self.eval(f.sub, q, _freeze(env))
+            return not self.eval(kids[0], q, env)
         if isinstance(f, fm.Or):
-            return self.eval(f.left, q, _freeze(env)) or self.eval(
-                f.right, q, _freeze(env)
-            )
+            return self.eval(kids[0], q, env) or self.eval(kids[1], q, env)
         if isinstance(f, fm.Next):
-            q2 = cgs.step(q, self._decision(env, q))
-            return self.eval(f.sub, q2, _freeze(self._advance(env, q2)))
+            q2 = self.cgs.step(q, self._decision(env, q))
+            return self.eval(kids[0], q2, self._advance(env, q2))
         if isinstance(f, fm.Until):
-            return self._until(f, q, env)
+            return self._until(kids, q, env)
         if isinstance(f, fm.Bind):
             env2 = dict(env)
-            env2[f.agent] = env[f.var]
-            return self.eval(f.sub, q, _freeze(env2))
+            env2[f.agent] = env2[f.var]
+            return self.eval(kids[0], q, _freeze(env2))
         if isinstance(f, fm.ExistsGraded):
-            return self.count_witnesses(f, q, _freeze(env), stop_at=f.grade.value)
+            return self.count_witnesses(i, q, env, stop_at=f.grade.value)
         raise TypeError(f"unknown formula node {type(f).__name__}")
 
-    def _until(self, f, q, env):
+    def _until(self, kids, q, env):
+        left, right = kids
         seen = set()
-        while True:
-            key = (q, self._envkey(_freeze(env)))
-            if key in seen:
-                return False  # looped without reaching the goal
-            seen.add(key)
-            if self.eval(f.right, q, _freeze(env)):
+        while (q, env) not in seen:
+            seen.add((q, env))
+            if self.eval(right, q, env):
                 return True
-            if not self.eval(f.left, q, _freeze(env)):
+            if not self.eval(left, q, env):
                 return False
-            dec = self._decision(env, q)
-            q = self.cgs.step(q, dec)
+            q = self.cgs.step(q, self._decision(env, q))
             env = self._advance(env, q)
+        return False  # looped without reaching the goal
 
-    def count_witnesses(self, f, q, env, stop_at=None):
+    def count_witnesses(self, i, q, env, stop_at=None):
         """Number of distinct satisfying strategy tuples from state q,
         where distinctness compares the functions computed from q on."""
+        f, (sub,) = self.nodes[i]
         if not f.grade.is_finite:
             raise UnsupportedGradeError("oracle handles finite grades only")
-        g = f.grade.value
-        if stop_at is not None and g == 0:
+        if stop_at == 0:
             return True
-        pool = self.pool()
-        # distinct behaviors from q may collapse differently than from the
-        # initial state; dedup per start state
-        local = {}
-        for s in pool:
-            sig = strategy_signature(self.cgs, s, q)
-            local.setdefault(sig, s)
-        choices = list(local.values())
+        choices = self.pool(q)
         if len(choices) ** len(f.vars) > self.budget:
             raise ResourceBudgetError("quantifier instantiation over budget")
         count = 0
-        base = dict(env)
+        env2 = dict(env)
         for tup in product(choices, repeat=len(f.vars)):
-            env2 = dict(base)
-            for x, s in zip(f.vars, tup):
-                env2[x] = (s, s.init)
-            if self.eval(f.sub, q, _freeze(env2)):
+            env2.update(zip(f.vars, tup))
+            if self.eval(sub, q, _freeze(env2)):
                 count += 1
                 if stop_at is not None and count >= stop_at:
                     return True
@@ -270,56 +303,41 @@ class _Evaluator:
 # memoryless equilibrium counting
 
 
-def _memoryless_profiles(cgs, budget):
+def count_ne_memoryless(cgs, objectives, budget=DEFAULT_PROFILE_BUDGET):
+    """Number of memoryless profiles with no improving memoryless deviation.
+
+    A profile's payoffs are read off the evaluator: every agent's goals at
+    the initial state, with every agent bound to its machine."""
     per_agent = len(cgs.actions) ** len(cgs.states)
     if per_agent ** len(cgs.agents) > budget:
         raise ResourceBudgetError("memoryless profile space over budget")
-    singles = []
-    for _agent in cgs.agents:
-        opts = []
-        for combo in product(cgs.actions, repeat=len(cgs.states)):
-            opts.append(dict(zip(cgs.states, combo)))
-        singles.append(opts)
-    return product(*singles)
-
-
-def _payoffs(cgs, profile, objectives):
-    from gslmc.cgs import memoryless, induced_play, eval_ltl_on_lasso
-
-    machines = {a: memoryless(cgs, choice) for a, choice in zip(cgs.agents, profile)}
-    lasso = induced_play(cgs, cgs.initial, machines)
-    out = {}
-    for agent in cgs.agents:
-        obj = objectives[agent]
-        bits = "".join(
-            "1" if eval_ltl_on_lasso(goal, lasso, cgs.label) else "0"
-            for goal in obj.goals
-        )
-        out[agent] = obj.payoff[bits]
-    return out
-
-
-def count_ne_memoryless(cgs, objectives, budget=DEFAULT_PROFILE_BUDGET):
-    """Number of memoryless profiles with no improving memoryless deviation."""
-    all_choices = [
-        dict(zip(cgs.states, combo))
+    ev = _Evaluator(cgs, 1, budget)
+    machines = [
+        ev.start(memoryless(cgs, dict(zip(cgs.states, combo))))
         for combo in product(cgs.actions, repeat=len(cgs.states))
     ]
+    goals = [
+        (objectives[a].payoff, [ev.intern(g) for g in objectives[a].goals])
+        for a in cgs.agents
+    ]
+    payoffs = {}
+
+    def payoff(profile):
+        if profile not in payoffs:
+            env = _freeze(dict(zip(cgs.agents, profile)))
+            payoffs[profile] = [
+                table["".join("1" if ev.eval(g, cgs.initial, env) else "0" for g in ids)]
+                for table, ids in goals
+            ]
+        return payoffs[profile]
+
     count = 0
-    for profile in _memoryless_profiles(cgs, budget):
-        base = _payoffs(cgs, profile, objectives)
-        stable = True
-        for i, agent in enumerate(cgs.agents):
-            for alt in all_choices:
-                if alt == profile[i]:
-                    continue
-                dev = list(profile)
-                dev[i] = alt
-                if _payoffs(cgs, tuple(dev), objectives)[agent] > base[agent]:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            count += 1
+    for profile in product(machines, repeat=len(cgs.agents)):
+        base = payoff(profile)
+        count += all(
+            payoff(profile[:i] + (alt,) + profile[i + 1:])[i] <= base[i]
+            for i in range(len(profile))
+            for alt in machines
+            if alt != profile[i]
+        )
     return count

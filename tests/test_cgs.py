@@ -3,17 +3,11 @@ import random
 
 import pytest
 
-from conftest import SINGLE_ACTION, TOGGLE, make_cgs
+from conftest import SINGLE_ACTION, TOGGLE
 from gslmc import formula as fm
-from gslmc.cgs import (
-    FiniteStrategy,
-    LassoPlay,
-    eval_ltl_on_lasso,
-    induced_play,
-    load_cgs,
-    memoryless,
-)
+from gslmc.cgs import Cgs, FiniteStrategy, load_cgs, memoryless
 from gslmc.errors import ModelError
+from gslmc.oracle import oracle_check
 
 
 def action_on_history(strat, history):
@@ -33,6 +27,12 @@ class TestLoading:
     def test_wildcard_expansion(self):
         cgs = load_cgs(SINGLE_ACTION)
         assert cgs.step("s0", ("a", "a")) == "s1"
+
+    def test_successors_are_distinct_and_in_model_order(self):
+        # s0 moves to s1 on "a" and to itself on "b"
+        cgs = load_cgs(TOGGLE)
+        assert cgs.successors("s0") == ("s0", "s1")
+        assert load_cgs(SINGLE_ACTION).successors("s0") == ("s1",)
 
     def test_overlap_rejected(self):
         doc = dict(TOGGLE)
@@ -60,27 +60,6 @@ class TestLoading:
 
 
 class TestPlays:
-    def test_self_loop_lasso_word(self):
-        cgs = load_cgs(SINGLE_ACTION)
-        prof = {a: memoryless(cgs, {s: "a" for s in cgs.states}) for a in cgs.agents}
-        lasso = induced_play(cgs, "s1", prof)
-        # the one-state self-loop play: the unfolded word is s1 s1 s1 ...
-        assert [lasso.state_at(i) for i in range(5)] == ["s1"] * 5
-
-    def test_lasso_matches_step_simulation(self, rng):
-        for _ in range(20):
-            cgs = make_cgs(rng, 4, 2, 2)
-            prof = {
-                a: memoryless(cgs, {s: rng.choice(cgs.actions) for s in cgs.states})
-                for a in cgs.agents
-            }
-            lasso = induced_play(cgs, cgs.initial, prof)
-            q = cgs.initial
-            for i in range(100):
-                assert lasso.state_at(i) == q
-                dec = tuple(prof[a].output[(0, q)] for a in cgs.agents)
-                q = cgs.step(q, dec)
-
     def test_strategy_uses_memory(self):
         cgs = load_cgs(TOGGLE)
         # alternate actions: memory flips each step
@@ -108,45 +87,48 @@ class TestLtlOnLasso:
             return fm.Next(self._random_ltl(rng, depth - 1))
         return fm.Until(self._random_ltl(rng, depth - 1), self._random_ltl(rng, depth - 1))
 
-    def _unrolled(self, f, lasso, label, pos, horizon):
-        """Reference semantics by explicit unrolling to the horizon."""
+    def _unrolled(self, f, label_at, pos, horizon):
+        """Reference semantics by explicit unrolling to the horizon;
+        label_at(i) is the label at position i of the word."""
         if isinstance(f, fm.Atom):
-            return f.name in label[lasso.state_at(pos)]
+            return f.name in label_at(pos)
         if isinstance(f, fm.Not):
-            return not self._unrolled(f.sub, lasso, label, pos, horizon)
+            return not self._unrolled(f.sub, label_at, pos, horizon)
         if isinstance(f, fm.Or):
-            return self._unrolled(f.left, lasso, label, pos, horizon) or self._unrolled(
-                f.right, lasso, label, pos, horizon
+            return self._unrolled(f.left, label_at, pos, horizon) or self._unrolled(
+                f.right, label_at, pos, horizon
             )
         if isinstance(f, fm.Next):
-            return self._unrolled(f.sub, lasso, label, pos + 1, horizon)
+            return self._unrolled(f.sub, label_at, pos + 1, horizon)
         # Until: within prefix + 2 cycles every until is decided
         i = pos
         while i <= horizon:
-            if self._unrolled(f.right, lasso, label, i, horizon):
+            if self._unrolled(f.right, label_at, i, horizon):
                 return True
-            if not self._unrolled(f.left, lasso, label, i, horizon):
+            if not self._unrolled(f.left, label_at, i, horizon):
                 return False
             i += 1
         return False
 
     def test_against_bounded_unrolling(self, rng):
+        # the evaluator's temporal operators on a lasso word: a one-agent,
+        # one-action model whose states are the lasso's positions
         for _ in range(500):
             n = rng.randint(1, 4)
-            states = [f"s{i}" for i in range(n)]
+            states = tuple(f"s{i}" for i in range(n))
             label = {
                 s: frozenset(a for a in ("p", "q") if rng.random() < 0.5) for s in states
             }
             cut = rng.randrange(n)
-            lasso = LassoPlay(tuple(states[:cut]), tuple(states[cut:]))
-            f = self._random_ltl(rng, 4)
-            horizon = len(lasso.prefix) + 2 * len(lasso.cycle) + 8
-            assert eval_ltl_on_lasso(f, lasso, label) == self._unrolled(
-                f, lasso, label, 0, horizon
-            )
+            trans = {(states[i], ("a",)): states[i + 1] for i in range(n - 1)}
+            trans[(states[-1], ("a",))] = states[cut]
+            model = Cgs(frozenset(("p", "q")), ("a0",), ("a",), states, states[0], label, trans)
 
-    def test_strategic_operators_rejected(self):
-        lasso = LassoPlay((), ("s0",))
-        f = fm.ExistsGraded(("x",), fm.finite(1), fm.Atom("p"))
-        with pytest.raises(ModelError):
-            eval_ltl_on_lasso(f, lasso, {"s0": frozenset()})
+            def label_at(i):
+                return label[states[i if i < n else cut + (i - cut) % (n - cut)]]
+
+            f = self._random_ltl(rng, 4)
+            horizon = cut + 2 * (n - cut) + 8
+            only = memoryless(model, {s: "a" for s in states})
+            res = oracle_check(model, fm.Bind("a0", "x", f), assignment={"x": only})
+            assert res.verdict == self._unrolled(f, label_at, 0, horizon)

@@ -408,6 +408,20 @@ class TestGen:
         assert code == 3 and not out
         assert "exactly one goal" in err and "'a0'" in err
 
+    def test_negative_count_is_a_usage_error(self, capsys, single_path, tmp_path):
+        obj = {
+            "agents": {
+                "a0": {"goals": ["F p"], "payoff": {"1": 1, "0": -1}},
+                "a1": {"goals": ["F p"], "payoff": {"1": 1, "0": -1}},
+            }
+        }
+        op = tmp_path / "obj.json"
+        op.write_text(json.dumps(obj))
+        code, out, err = run(
+            capsys, "gen", "winning-count", single_path, "--objectives", str(op), "--k", "-1"
+        )
+        assert code == 2 and not out and err.startswith("error:") and "--k" in err
+
 
 class TestOracle:
     def test_oracle_exact_single_action(self, capsys, single_path):
@@ -443,6 +457,14 @@ class TestOracle:
             "memoryless suffices",
         )
         assert code == 0 and "confidence: exact" in out
+
+    def test_memory_below_one_is_a_usage_error(self, capsys, toggle_path):
+        # with no memory state there is no machine, and no verdict to print
+        code, out, err = run(
+            capsys, "oracle", toggle_path, "-f", "<<x>> (a0,x) F p",
+            "--memory", "0", "--justify", "memoryless suffices", "--require-exact",
+        )
+        assert code == 2 and not out and err.startswith("error:") and "--memory" in err
 
     def test_oracle_ne_counts(self, capsys, single_path, tmp_path):
         obj = {

@@ -6,6 +6,9 @@ Oracle notes:
   against hand-built equilibrium instances.
 """
 
+import json
+import os
+
 import pytest
 
 from gslmc import formula as fm
@@ -22,6 +25,8 @@ from gslmc.oracle import (
 from gslmc.solutions import load_objectives
 
 from conftest import make_cgs, TOGGLE, SINGLE_ACTION
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples_data")
 
 
 def parse(text, agents):
@@ -115,6 +120,11 @@ class TestMemoryMonotonicity:
             assert c1 <= c2
 
 
+def _example(name):
+    with open(os.path.join(DATA, name + ".json")) as fh:
+        return json.load(fh)
+
+
 def _objectives(cgs, goals_payoffs):
     return load_objectives({"agents": goals_payoffs}, cgs)
 
@@ -168,6 +178,17 @@ class TestCountNeMemoryless:
         # [TRIVIAL] 2 actions ^ 2 states = 4 memoryless choices, all stable
         assert count_ne_memoryless(toggle, obj) == 4
 
+    @pytest.mark.parametrize("model, objectives, count", [
+        ("pennies", "pennies_obj", 0),
+        ("desk3", "desk3_next_obj", 32),
+        ("desk3", "desk3_obj", 32),
+    ])
+    def test_recorded_counts_of_the_examples(self, model, objectives, count):
+        # the answers acceptance criterion 5 and the benchmark's gate record
+        g = load_cgs(_example(model))
+        obj = load_objectives(_example(objectives), g)
+        assert count_ne_memoryless(g, obj) == count
+
 
 class TestWitnessCounting:
     def test_single_action_counts(self, single):
@@ -181,3 +202,20 @@ class TestWitnessCounting:
         f = parse("<<x>>^>=1 (a0,x) X p", toggle.agents)
         res = oracle_check(toggle, f)
         assert res.witness_count == 2
+
+    @pytest.mark.parametrize("model, binding, grade, holds", [
+        ("toggle", "(a0,y)", 76, True),
+        ("toggle", "(a0,y)", 77, False),
+        ("pennies", "(a0,y)(a1,y)", 6, True),
+        ("pennies", "(a0,y)(a1,y)", 7, False),
+    ])
+    def test_nested_quantifier_counts_behaviours_from_its_own_state(
+        self, model, binding, grade, holds
+    ):
+        # [DERIVED] after X the inner quantifier counts machines with at
+        # most 2 memory states by what they do from the state reached:
+        # toggle's s1 has 76 behaviours and pennies' sp has 6.  Deduplicated
+        # from the initial state, they would be 64 and 4.
+        g = load_cgs(_example(model))
+        f = parse(f"<<y>> {binding} X (p && <<x>>^>={grade} (a0,x) true)", g.agents)
+        assert oracle_check(g, f, memory_bound=2).verdict is holds
