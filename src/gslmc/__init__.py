@@ -1,19 +1,1 @@
 """Model checker for strategy logic with graded quantifiers over concurrent games."""
-
-from gslmc.errors import (
-    GslError,
-    ParseError,
-    ModelError,
-    UnsupportedGradeError,
-    ResourceBudgetError,
-)
-
-__all__ = [
-    "GslError",
-    "ParseError",
-    "ModelError",
-    "UnsupportedGradeError",
-    "ResourceBudgetError",
-]
-
-__version__ = "0.1.0"

@@ -196,7 +196,7 @@ def _disjuncts(f):
     return out
 
 
-def project(a, coords, actions):
+def project(a, coords):
     """Erase valuation coordinates `coords` existentially (NPT input only).
 
     Letters are (valuation, state) pairs; the result reads valuations without

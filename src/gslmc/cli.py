@@ -17,13 +17,7 @@ from gslmc.automata import dump_apt
 from gslmc.cgs import FiniteStrategy, load_cgs
 from gslmc.compiler import check_assignment, check_sentence
 from gslmc.determinize import DEFAULT_BUDGET
-from gslmc.errors import (
-    GslError,
-    ModelError,
-    ParseError,
-    ResourceBudgetError,
-    UnsupportedGradeError,
-)
+from gslmc.errors import ModelError, ParseError, ResourceBudgetError, UnsupportedGradeError
 from gslmc.oracle import DEFAULT_PROFILE_BUDGET, EXACT, count_ne_memoryless, oracle_check
 from gslmc import solutions as sol
 
@@ -336,9 +330,6 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except GslError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

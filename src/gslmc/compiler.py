@@ -55,14 +55,19 @@ class CompilationContext:
         when there would be more than `budget` of them."""
         key = frozenset(names)
         if key not in self._alphabets:
-            size = len(self.cgs.actions) ** len(key) * len(self.cgs.states)
-            if size > self.budget:
-                raise ResourceBudgetError(
-                    f"the alphabet over {len(key)} strategy names has {size} letters,"
-                    f" over the budget ({self.budget})"
-                )
+            self.check_alphabet(len(key))
             self._alphabets[key] = assignment_alphabet(self.cgs, key)
         return self._alphabets[key]
+
+    def check_alphabet(self, n_names):
+        """A ResourceBudgetError when the alphabet over n_names strategy
+        names would have more than `budget` letters."""
+        size = len(self.cgs.actions) ** n_names * len(self.cgs.states)
+        if size > self.budget:
+            raise ResourceBudgetError(
+                f"the alphabet over {n_names} strategy names has {size} letters,"
+                f" over the budget ({self.budget})"
+            )
 
     def remove_alternation(self, apt, n_copies):
         out = nondeterminize(apt, budget=self.budget)
@@ -269,48 +274,59 @@ def _block(quants, body, ctx, universal):
         npt = ctx.remove_alternation(expanded, n_copies)
     finally:
         ctx._depth -= 1
-    out = simplify(project(npt, coords, ctx.cgs.actions), budget=ctx.budget)
+    out = simplify(project(npt, coords), budget=ctx.budget)
     if universal:
         out = dualize(out)
     return out, names
 
 
 def _expand(quants, body, ctx):
-    """Copy-and-rename expansion of a quantifier block.
+    """Copy-and-rename expansion of a quantifier block, innermost quantifier
+    first.
 
     Returns (automaton, copy coordinates to project, outer free names).
     The automaton conjoins, for every way of instantiating each quantifier
     grade-many times, a renamed body copy, together with a distinctness
     requirement per quantifier instance.
     """
-    if not quants:
-        a, names = _compile(body, ctx)
-        return a, (), names
-    (vars_, grade), rest = quants[0], quants[1:]
-    sub, sub_coords, sub_names = _expand(rest, body, ctx)
-    outer_names = frozenset(sub_names) - frozenset(vars_)
-    if grade.value == 0:
-        # "at least zero witnesses" holds vacuously
-        return accept_all(ctx.alphabet(outer_names), ctx.cgs.states), (), outer_names
+    a, names = _compile(body, ctx)
+    # stop before the first rename when a level would read an alphabet over
+    # the budget: a level of grade g over vars reads the names left free by
+    # it and the levels inside, and g copies of vars and of the inner levels'
+    # copy coordinates
+    free, n_coords = names, 0
+    for vars_, grade in reversed(quants):
+        free = free - frozenset(vars_)
+        n_coords = grade.value * (len(vars_) + n_coords)
+        ctx.check_alphabet(len(free) + n_coords)
 
-    # every copy reads the block alphabet: its own renamed coordinates, and
-    # the coordinates of variables the body ignores still exist there
-    read = frozenset(sub_names) | frozenset(sub_coords)
-    sources = []
-    all_coords = []
-    grid = []
-    for j in range(1, grade.value + 1):
-        ren = {x: _copy_name(x, j) for x in (*vars_, *sub_coords)}
-        sources.append({x: ren.get(x, x) for x in read})
-        all_coords.extend(sorted(ren.values()))
-        grid.append(tuple(ren[v] for v in sorted(vars_)))
+    coords = ()
+    for vars_, grade in reversed(quants):
+        outer_names = names - frozenset(vars_)
+        if grade.value == 0:
+            # "at least zero witnesses" holds vacuously
+            a = accept_all(ctx.alphabet(outer_names), ctx.cgs.states)
+            coords, names = (), outer_names
+            continue
+        # every copy reads the block alphabet: its own renamed coordinates,
+        # and the coordinates of variables the body ignores still exist there
+        read = names | frozenset(coords)
+        sources = []
+        all_coords = []
+        grid = []
+        for j in range(1, grade.value + 1):
+            ren = {x: _copy_name(x, j) for x in (*vars_, *coords)}
+            sources.append({x: ren.get(x, x) for x in read})
+            all_coords.extend(sorted(ren.values()))
+            grid.append(tuple(ren[v] for v in sorted(vars_)))
 
-    big_names = outer_names | frozenset(all_coords)
-    combined = conjoin_all([_rename(sub, src, big_names, ctx) for src in sources])
-    if grade.value >= 2:
-        dist = distinctness_apt(
-            tuple(grid), ctx.alphabet(big_names), ctx.cgs.states,
-            lambda letter: ctx.cgs.successors(letter[1]),
-        )
-        combined = conjoin(combined, dist)
-    return simplify(combined, budget=ctx.budget), tuple(all_coords), outer_names
+        big_names = outer_names | frozenset(all_coords)
+        a = conjoin_all([_rename(a, src, big_names, ctx) for src in sources])
+        if grade.value >= 2:
+            a = conjoin(a, distinctness_apt(
+                tuple(grid), ctx.alphabet(big_names), ctx.cgs.states,
+                lambda letter: ctx.cgs.successors(letter[1]),
+            ))
+        a = simplify(a, budget=ctx.budget)
+        coords, names = tuple(all_coords), outer_names
+    return a, coords, names

@@ -12,6 +12,7 @@ a declared agent.
 """
 
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from gslmc.errors import ParseError
 
@@ -144,22 +145,12 @@ def forall_graded(variables, grade, sub):
 
 def big_and(items):
     items = list(items)
-    if not items:
-        return f_true()
-    out = items[0]
-    for f in items[1:]:
-        out = f_and(out, f)
-    return out
+    return reduce(f_and, items) if items else f_true()
 
 
 def big_or(items):
     items = list(items)
-    if not items:
-        return f_false()
-    out = items[0]
-    for f in items[1:]:
-        out = Or(out, f)
-    return out
+    return reduce(Or, items) if items else f_false()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +206,16 @@ def _tokenize(text):
 MAX_NESTING = 100
 
 
+# prefix operators and constants by token, and the quantifier openers by
+# token: (closer, grade marker, constructor)
+_PREFIX = {"!": Not, "X": Next, "F": f_eventually, "G": f_globally}
+_CONSTANTS = {"true": f_true, "false": f_false}
+_QUANTIFIERS = {"<<": (">>", "^>=", ExistsGraded), "[[": ("]]", "^<", forall_graded)}
+
+# binary operators, loosest first: (token, constructor, right-associative)
+_BINARY = (("->", f_implies, True), ("||", Or, False), ("&&", f_and, False), ("U", Until, True))
+
+
 class _Parser:
     """Recursive descent; every parse method returns (formula, nesting depth)."""
 
@@ -249,49 +250,38 @@ class _Parser:
         return f, self._level(depth + 1, tok)
 
     def parse(self):
-        f, _ = self.implies()
+        f, _ = self.binary(0)
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return f
 
-    def implies(self):
-        left, depth = self.or_()
-        tok = self.peek()
-        if tok[0] == "->":
-            self.take()
-            right, d = self._nested(self.implies, tok)
-            return f_implies(left, right), self._level(max(depth + 1, d), tok)
-        return left, depth
+    def at_level(self, level):
+        """The parse method for the operators of _BINARY[level:], unary past
+        the table.  A partial, unlike a lambda, adds no Python frame per
+        nesting level."""
+        return partial(self.binary, level) if level < len(_BINARY) else self.unary
 
-    def or_(self):
-        f, depth = self.and_()
-        while (tok := self.peek())[0] == "||":
+    def binary(self, level):
+        """A chain of _BINARY[level]'s operator over operands of the next level."""
+        op, build, right_assoc = _BINARY[level]
+        tighter = self.at_level(level + 1)
+        f, depth = tighter()
+        if right_assoc:
+            tok = self.peek()
+            if tok[1] != op:
+                return f, depth
             self.take()
-            right, d = self.and_()
-            f, depth = Or(f, right), self._level(max(depth, d) + 1, tok)
+            right, d = self._nested(self.at_level(level), tok)
+            return build(f, right), self._level(max(depth + 1, d), tok)
+        while (tok := self.peek())[1] == op:
+            self.take()
+            right, d = tighter()
+            f, depth = build(f, right), self._level(max(depth, d) + 1, tok)
         return f, depth
-
-    def and_(self):
-        f, depth = self.until()
-        while (tok := self.peek())[0] == "&&":
-            self.take()
-            right, d = self.until()
-            f, depth = f_and(f, right), self._level(max(depth, d) + 1, tok)
-        return f, depth
-
-    def until(self):
-        left, depth = self.unary()
-        tok = self.peek()
-        if tok[0] == "word" and tok[1] == "U":
-            self.take()
-            right, d = self._nested(self.until, tok)
-            return Until(left, right), self._level(max(depth + 1, d), tok)
-        return left, depth
 
     def _var_tuple(self, closer):
         names = []
-        start = self.peek()[2]
         while True:
             tok = self.take("word")
             if tok[1] in _RESERVED or tok[1] in _GRADE_WORDS:
@@ -304,7 +294,7 @@ class _Parser:
                 continue
             break
         self.take(closer)
-        return tuple(names), start
+        return tuple(names)
 
     def _grade(self, marker):
         # marker is '^>=' for existential / '^<' for universal; optional
@@ -325,41 +315,23 @@ class _Parser:
         return finite(1)
 
     def unary(self):
+        # a token's text is its kind for symbols, so one key serves words
+        # and symbols alike
         tok = self.peek()
-        if tok[0] == "!":
+        if tok[1] in _PREFIX:
             self.take()
             f, depth = self._nested(self.unary, tok)
-            return Not(f), depth
-        if tok[0] == "word" and tok[1] == "X":
+            return _PREFIX[tok[1]](f), depth
+        if tok[1] in _CONSTANTS:
             self.take()
+            return _CONSTANTS[tok[1]](), 0
+        if tok[1] in _QUANTIFIERS:
+            closer, marker, build = _QUANTIFIERS[tok[1]]
+            self.take()
+            names = self._var_tuple(closer)
+            grade = self._grade(marker)
             f, depth = self._nested(self.unary, tok)
-            return Next(f), depth
-        if tok[0] == "word" and tok[1] == "F":
-            self.take()
-            f, depth = self._nested(self.unary, tok)
-            return f_eventually(f), depth
-        if tok[0] == "word" and tok[1] == "G":
-            self.take()
-            f, depth = self._nested(self.unary, tok)
-            return f_globally(f), depth
-        if tok[0] == "word" and tok[1] == "true":
-            self.take()
-            return f_true(), 0
-        if tok[0] == "word" and tok[1] == "false":
-            self.take()
-            return f_false(), 0
-        if tok[0] == "<<":
-            self.take()
-            names, _ = self._var_tuple(">>")
-            grade = self._grade("^>=")
-            f, depth = self._nested(self.unary, tok)
-            return ExistsGraded(names, grade, f), depth
-        if tok[0] == "[[":
-            self.take()
-            names, _ = self._var_tuple("]]")
-            grade = self._grade("^<")
-            f, depth = self._nested(self.unary, tok)
-            return forall_graded(names, grade, f), depth
+            return build(names, grade, f), depth
         if tok[0] == "(":
             # binding looks like ( ident , ident ) with a declared agent first
             if (
@@ -377,7 +349,7 @@ class _Parser:
                 f, depth = self._nested(self.unary, tok)
                 return Bind(agent, var, f), depth
             self.take()
-            f, depth = self._nested(self.implies, tok)
+            f, depth = self._nested(self.at_level(0), tok)
             self.take(")")
             return f, depth
         if tok[0] == "word":
@@ -444,24 +416,16 @@ def free_placeholders(f, agents):
     agents = frozenset(agents)
 
     def go(f):
-        if isinstance(f, Atom):
-            return frozenset()
-        if isinstance(f, Not):
-            return go(f.sub)
-        if isinstance(f, Or):
-            return go(f.left) | go(f.right)
-        if isinstance(f, Next):
-            return agents | go(f.sub)
-        if isinstance(f, Until):
-            return agents | go(f.left) | go(f.right)
+        free = frozenset()
+        for g in subformulas(f):
+            free |= go(g)
+        if isinstance(f, (Next, Until)):
+            return agents | free
         if isinstance(f, ExistsGraded):
-            return go(f.sub) - frozenset(f.vars)
-        if isinstance(f, Bind):
-            inner = go(f.sub)
-            if f.agent in inner:
-                return (inner - {f.agent}) | {f.var}
-            return inner
-        raise TypeError(f"not a formula: {f!r}")
+            return free - frozenset(f.vars)
+        if isinstance(f, Bind) and f.agent in free:
+            return (free - {f.agent}) | {f.var}
+        return free
 
     return go(f)
 
@@ -525,13 +489,10 @@ def strip_prefix(f):
     Returns (prefix, body) where prefix is a list of (kind, vars, grade).
     """
     prefix = []
-    while True:
-        m = strip_quantifier(f)
-        if m is None:
-            return prefix, f
-        kind, variables, grade, body = m
+    while (m := strip_quantifier(f)) is not None:
+        kind, variables, grade, f = m
         prefix.append((kind, variables, grade))
-        f = body
+    return prefix, f
 
 
 def strip_same_type_block(f):
@@ -551,28 +512,28 @@ def strip_binding_prefix(f):
     return bindings, f
 
 
-def quantifier_rank(f):
+def _fold_prefixes(f, at_prefix):
+    """at_prefix(prefix, the fold of its body) at each maximal quantifier
+    prefix; elsewhere the largest fold over the subformulas (0 for none)."""
     prefix, body = strip_prefix(f)
     if prefix:
-        return len(prefix) + quantifier_rank(body)
-    rank = 0
+        return at_prefix(prefix, _fold_prefixes(body, at_prefix))
+    n = 0
     for g in subformulas(f):
-        rank = max(rank, quantifier_rank(g))
-    return rank
+        n = max(n, _fold_prefixes(g, at_prefix))
+    return n
 
 
 def _switches(prefix):
     return sum(1 for a, b in zip(prefix, prefix[1:]) if a[0] != b[0])
 
 
+def quantifier_rank(f):
+    return _fold_prefixes(f, lambda prefix, inner: len(prefix) + inner)
+
+
 def quantifier_block_rank(f):
-    prefix, body = strip_prefix(f)
-    if prefix:
-        return 1 + _switches(prefix) + quantifier_block_rank(body)
-    rank = 0
-    for g in subformulas(f):
-        rank = max(rank, quantifier_block_rank(g))
-    return rank
+    return _fold_prefixes(f, lambda prefix, inner: 1 + _switches(prefix) + inner)
 
 
 def _is_nested_goal(f, agents):
@@ -620,13 +581,7 @@ def _is_one_goal(f, agents):
 
 def alternation_number(f):
     """Quantifier-switch count for Nested-Goal formulas (see analyze_fragment)."""
-    prefix, body = strip_prefix(f)
-    if prefix:
-        return max(_switches(prefix), alternation_number(body))
-    n = 0
-    for g in subformulas(f):
-        n = max(n, alternation_number(g))
-    return n
+    return _fold_prefixes(f, lambda prefix, inner: max(_switches(prefix), inner))
 
 
 @dataclass(frozen=True)

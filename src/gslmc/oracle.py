@@ -24,29 +24,23 @@ LOWER_BOUND = "lower-bound-only"
 def enumerate_strategies(cgs, memory_bound, budget=DEFAULT_PROFILE_BUDGET, start=None):
     """All finite-memory strategies with at most memory_bound memory states,
     one per history function they compute from start (default: the initial
-    state)."""
+    state).  Only machines with exactly memory_bound states are built: one
+    with fewer is such a machine whose extra states are unreachable."""
     start = cgs.initial if start is None else start
-    n_st = len(cgs.states)
-    total = 0
-    for k in range(1, memory_bound + 1):
-        total += (k ** (k * n_st)) * (len(cgs.actions) ** (k * n_st))
-        if total > budget:
-            raise ResourceBudgetError(
-                f"strategy space too large for memory bound {memory_bound}"
-            )
+    memory = tuple(range(memory_bound))
+    cells = [(m, q) for m in memory for q in cgs.states]
+    if (memory_bound * len(cgs.actions)) ** len(cells) > budget:
+        raise ResourceBudgetError(f"strategy space too large for memory bound {memory_bound}")
     out = []
     seen = set()
-    for k in range(1, memory_bound + 1):
-        cells = [(m, q) for m in range(k) for q in cgs.states]
-        for upd in product(range(k), repeat=len(cells)):
-            update = dict(zip(cells, upd))
-            for outp in product(cgs.actions, repeat=len(cells)):
-                output = dict(zip(cells, outp))
-                s = FiniteStrategy(tuple(range(k)), 0, update, output)
-                sig = strategy_signature(cgs, s, start)
-                if sig not in seen:
-                    seen.add(sig)
-                    out.append(s)
+    for upd in product(memory, repeat=len(cells)):
+        update = dict(zip(cells, upd))
+        for outp in product(cgs.actions, repeat=len(cells)):
+            s = FiniteStrategy(memory, 0, update, dict(zip(cells, outp)))
+            sig = strategy_signature(cgs, s, start)
+            if sig not in seen:
+                seen.add(sig)
+                out.append(s)
     return out
 
 
@@ -234,12 +228,9 @@ class _Evaluator:
 
     def _decision(self, env, q):
         bound = dict(env)
-        try:
-            return tuple(
-                self.machines[bound[a][0]].output[(bound[a][1], q)] for a in self.cgs.agents
-            )
-        except KeyError as e:
-            raise ModelError(f"agent {e.args[0]!r} is unbound at a temporal operator")
+        return tuple(
+            self.machines[bound[a][0]].output[(bound[a][1], q)] for a in self.cgs.agents
+        )
 
     def _eval(self, i, q, env):
         f, kids = self.nodes[i]
@@ -279,8 +270,6 @@ class _Evaluator:
         """Number of distinct satisfying strategy tuples from state q,
         where distinctness compares the functions computed from q on."""
         f, (sub,) = self.nodes[i]
-        if not f.grade.is_finite:
-            raise UnsupportedGradeError("oracle handles finite grades only")
         if stop_at == 0:
             return True
         choices = self.pool(q)

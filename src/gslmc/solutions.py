@@ -91,7 +91,7 @@ def eta_formula(objective, h):
     parts = []
     for j, goal in enumerate(objective.goals):
         parts.append(goal if h[j] == "1" else fm.Not(goal))
-    return fm.big_and(parts) if parts else fm.f_true()
+    return fm.big_and(parts)
 
 
 def bind_all(agents, variables, body):
@@ -138,7 +138,7 @@ def ne_formula_general(agents, xvars, yvars, objectives):
             lhs = bind_all(agents, devs, eta_formula(obj, h))
             rhs = fm.big_or([bind_all(agents, xvars, eta_formula(obj, v)) for v in good])
             conj.append(fm.f_implies(lhs, rhs))
-    return _forall_each(list(yvars), fm.big_and(conj) if conj else fm.f_true())
+    return _forall_each(list(yvars), fm.big_and(conj))
 
 
 def spe_formula(agents, zvars, ne_body):

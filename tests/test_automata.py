@@ -191,7 +191,7 @@ class TestProjection:
             {0: 0},
         )
         with pytest.raises(ModelError):
-            project(alternating, ("x",), ("a", "b"))
+            project(alternating, ("x",))
 
     def test_projection_soundness_on_memoryless_witnesses(self, rng):
         # if some per-node relabeling is accepted, the projection accepts;
@@ -213,7 +213,7 @@ class TestProjection:
                     trans[(q, letter)] = pb.disj(models)
             a = Apt(alphabet, dirs, nq, 0, trans, {q: rng.randrange(3) for q in range(nq)})
             assert is_npt(a)
-            p = project(a, ("x",), ("a", "b"))
+            p = project(a, ("x",))
             t = random_tree(rng, plain, dirs, max_nodes=2)
             projected = member(p, t)
             witnessed = False

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from gslmc import cli
+from gslmc import automata, cli, compiler
 from gslmc import formula as fm
 from gslmc.cli import main
 
@@ -52,6 +52,20 @@ class TestCheckExitCodes:
     def test_parse_error_is_two(self, capsys, toggle_path):
         code, _, err = run(capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X")
         assert code == 2 and "error" in err
+
+    def test_grade_zero_holds_vacuously(self, capsys, toggle_path):
+        code, out, _ = run(capsys, "check", toggle_path, "-f", "<<x>>^>=0 (a0,x) F p")
+        assert code == 0 and "HOLDS" in out
+
+    def test_formula_from_a_file(self, capsys, toggle_path, tmp_path):
+        fp = tmp_path / "formula.txt"
+        fp.write_text("[[x]] (a0,x) X p\n")
+        code, out, _ = run(capsys, "check", toggle_path, "-F", str(fp))
+        assert code == 1 and "FAILS" in out
+
+    def test_no_formula_is_two(self, capsys, toggle_path):
+        code, out, err = run(capsys, "check", toggle_path)
+        assert code == 2 and not out and "no formula given" in err
 
     def test_free_placeholder_without_assign_is_two(self, capsys, toggle_path):
         code, out, _ = run(capsys, "check", toggle_path, "-f", "(a0,x) X p")
@@ -183,6 +197,21 @@ class TestAlphabetBudget:
         code, out, err = run(capsys, "check", toggle_path, "-f", f, "--budget", "1000")
         assert code == 4 and not out
         assert "strategy names has" in err and "over the budget (1000)" in err
+
+    def test_block_stops_before_renaming_a_copy(self, capsys, toggle_path, monkeypatch):
+        # the block's alphabets are checked once its body is compiled, so no
+        # body copy is relabelled over a wider alphabet before the stop
+        letters = []
+
+        def relabel(a, alphabet, h):
+            letters.append(len(alphabet))
+            return automata.relabel(a, alphabet, h)
+
+        monkeypatch.setattr(compiler, "relabel", relabel)
+        f = "[[x]] " * 98 + "(a0,x) X p"
+        code, _, err = run(capsys, "check", toggle_path, "-f", f)
+        assert code == 4 and "the alphabet over 16 strategy names" in err
+        assert letters and max(letters) == 4  # toggle's 2 states x 2 actions of x
 
     def test_alphabet_at_the_budget_is_built(self, capsys, toggle_path):
         # <<x>>^>=2 reads x#1 and x#2: 2 actions ** 2 names * 2 states = 8
@@ -331,6 +360,10 @@ class TestInfo:
         assert code == 0
         assert "grades-all-finite: no" in out
 
+    def test_info_without_model_or_agents_is_two(self, capsys):
+        code, out, err = run(capsys, "info", "-f", "p")
+        assert code == 2 and not out and "--agents" in err
+
     def test_info_reports_free_placeholders(self, capsys):
         code, out, _ = run(capsys, "info", "--agents", "a0", "-f", "(a0,x) X p")
         assert code == 0
@@ -377,6 +410,43 @@ class TestGen:
             capsys, "gen", "winning-count", single_path, "--objectives", str(op), "--k", "2"
         )
         assert code == 0 and ">=2" in out and ">=3" in out
+
+    def test_general_payoffs_give_the_win_lose_sentence_when_they_agree(self, capsys, tmp_path):
+        # payoffs 2/0 are not win/lose, so gen takes the general payoff form;
+        # with one goal per agent that form is the win/lose implication
+        model = os.path.join(DATA, "desk3.json")
+        obj = {"agents": {a: {"goals": ["X p"], "payoff": {"1": 2, "0": 0}}
+                          for a in ("a0", "a1")}}
+        op = tmp_path / "obj.json"
+        op.write_text(json.dumps(obj))
+        code, general, _ = run(capsys, "gen", "unique-ne", model, "--objectives", str(op))
+        assert code == 0
+        code, winlose, _ = run(
+            capsys, "gen", "unique-ne", model,
+            "--objectives", os.path.join(DATA, "desk3_next_obj.json"),
+        )
+        assert code == 0 and general == winlose
+
+    def test_pennies_has_no_memoryless_equilibrium(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle-ne", os.path.join(DATA, "pennies.json"),
+            "--objectives", os.path.join(DATA, "pennies_obj.json"),
+        )
+        assert code == 0 and out.strip() == "memoryless-ne: 0"
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="gen takes the win/lose NE form, which assumes each agent wins when its goal"
+        " holds; in pennies_obj.json a1 wins when X p fails (ROADMAP item 5)",
+    )
+    def test_pennies_ne_sentence_fails(self, capsys):
+        model = os.path.join(DATA, "pennies.json")
+        code, ne, _ = run(
+            capsys, "gen", "ne", model, "--objectives", os.path.join(DATA, "pennies_obj.json")
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "check", model, "-f", f"<<x1,x2>> ({ne.strip()})")
+        assert code == 1 and "FAILS" in out
 
     @pytest.mark.parametrize("agents", [
         {"a0": {"goals": ["F p"], "payoff": {"1": "x", "0": -1}}},

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gslmc import formula as fm
 from gslmc.errors import ParseError
@@ -64,6 +66,29 @@ class TestParsing:
     def test_unknown_token(self):
         with pytest.raises(ParseError):
             parse("p $ q")
+
+    def test_tt_is_an_atom_and_true_false_are_constants(self):
+        # the printer spells true as (tt || !tt), so tt must stay an atom
+        assert parse("tt") == fm.Atom("tt")
+        assert parse("true") == fm.f_true()
+        assert parse("false") == fm.f_false()
+
+
+TOKENS = [
+    "<<", ">>", "[[", "]]", "^>=", "^<", "&&", "||", "->", "(", ")", ",", "!",
+    "X", "F", "G", "U", "true", "false", "tt", "aleph0", "cont", "0", "2",
+    "p", "x", "a", "b", "$", "^", "-",
+]
+
+
+@given(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(["", " "])), max_size=30))
+def test_parse_returns_a_formula_or_raises_parse_error(tokens):
+    text = "".join(tok + gap for tok, gap in tokens)
+    try:
+        f = parse(text, AG2)
+    except ParseError:
+        return
+    assert isinstance(f, fm.Formula)
 
 
 class TestPrinting:

@@ -1,4 +1,5 @@
-"""Every function, class and method in src/gslmc has a caller in src/gslmc.
+"""Every function, class and method in src/gslmc has a caller in src/gslmc,
+and every parameter is read in the body of its function.
 
 A definition counts as used when its name appears as a name or an attribute
 anywhere in the package outside the definition itself, so a function that
@@ -17,14 +18,18 @@ USED_FROM_OUTSIDE = {
 }
 
 
+def package_trees():
+    """(file name, syntax tree) of every module in src/gslmc."""
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                yield fname, ast.parse(fh.read(), fname)
+
+
 def definitions_and_references():
     defs = []  # (module, name, first line, last line)
     refs = []  # (module, name, line)
-    for fname in sorted(os.listdir(SRC)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fname)) as fh:
-            tree = ast.parse(fh.read(), fname)
+    for fname, tree in package_trees():
         for node in tree.body:
             members = [node]
             if isinstance(node, ast.ClassDef):
@@ -61,3 +66,23 @@ def test_allowlist_names_existing_definitions():
     defs, _ = definitions_and_references()
     names = {name for _, name, _, _ in defs}
     assert set(USED_FROM_OUTSIDE) <= names
+
+
+def test_every_parameter_is_read():
+    # self and _-prefixed names are exempt: they are unused by convention
+    unread = []
+    for fname, tree in package_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for p in params:
+                if p.arg != "self" and not p.arg.startswith("_") and p.arg not in read:
+                    unread.append(f"{fname}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p.arg})")
+    assert not unread, "parameters never read: " + ", ".join(unread)
