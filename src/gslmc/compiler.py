@@ -137,13 +137,6 @@ def _compile(f, ctx):
     if isinstance(f, fm.Atom):
         return _atom(f.name, ctx)
     if isinstance(f, fm.Not):
-        block, body = fm.strip_same_type_block(f)
-        if block and block[0][0] == "A":
-            if ctx.mode != "block":
-                block = block[:1]
-                body = fm.strip_quantifier(f)[3]  # peel one quantifier only
-            quants = [(v, g) for (_k, v, g) in block]
-            return _block(quants, body, ctx, universal=True)
         a, names = _compile(f.sub, ctx)
         return dualize(a), names
     if isinstance(f, fm.Or):
@@ -156,11 +149,8 @@ def _compile(f, ctx):
         return _bind(f, ctx)
     if isinstance(f, fm.ExistsGraded):
         if ctx.mode == "block":
-            block, body = fm.strip_same_type_block(f)
-            quants = [(v, g) for (_k, v, g) in block]
-        else:
-            quants, body = [(f.vars, f.grade)], f.sub
-        return _block(quants, body, ctx, universal=False)
+            return _block(*fm.strip_same_type_block(f), ctx)
+        return _block([("E", f.vars, f.grade)], f.sub, ctx)
     raise TypeError(f"unknown formula node {type(f).__name__}")
 
 
@@ -259,74 +249,60 @@ def _bind(f, ctx):
 # quantifier blocks
 
 
-def _block(quants, body, ctx, universal):
-    """Eliminate a maximal same-type quantifier prefix in one shot.
+def _block(block, body, ctx):
+    """Eliminate a maximal existential quantifier prefix in one shot.
 
-    quants is a list of (vars, grade) pairs.  A universal block is handled
-    by complementing the existential block over the complemented body.
+    block is a list of ("E", vars, grade).  The body is expanded innermost
+    quantifier first: a renamed body copy for every way of instantiating each
+    quantifier grade-many times, conjoined with a distinctness requirement
+    per instance.  Alternation is removed once, and the copy coordinates are
+    projected away.  A universal block [[x]]^<g body is !<<x>>^>=g !body, so
+    it reaches here under the negation above it.
     """
-    if universal:
-        body = fm.Not(body)
     ctx._depth += 1
     try:
-        expanded, coords, names = _expand(quants, body, ctx)
-        n_copies = sum(g.value for (_v, g) in quants)
-        npt = ctx.remove_alternation(expanded, n_copies)
+        a, names = _compile(body, ctx)
+        # stop before the first rename when a level would read an alphabet
+        # over the budget: a level of grade g over vars reads the names left
+        # free by it and the levels inside, and g copies of vars and of the
+        # inner levels' copy coordinates
+        free, n_coords = names, 0
+        for _k, vars_, grade in reversed(block):
+            free = free - frozenset(vars_)
+            n_coords = grade.value * (len(vars_) + n_coords)
+            ctx.check_alphabet(len(free) + n_coords)
+
+        coords = ()
+        for _k, vars_, grade in reversed(block):
+            outer_names = names - frozenset(vars_)
+            if grade.value == 0:
+                # "at least zero witnesses" holds vacuously
+                a = accept_all(ctx.alphabet(outer_names), ctx.cgs.states)
+                coords, names = (), outer_names
+                continue
+            # every copy reads the block alphabet: its own renamed
+            # coordinates, and the coordinates of variables the body ignores
+            # still exist there
+            read = names | frozenset(coords)
+            sources = []
+            all_coords = []
+            grid = []
+            for j in range(1, grade.value + 1):
+                ren = {x: _copy_name(x, j) for x in (*vars_, *coords)}
+                sources.append({x: ren.get(x, x) for x in read})
+                all_coords.extend(sorted(ren.values()))
+                grid.append(tuple(ren[v] for v in sorted(vars_)))
+
+            big_names = outer_names | frozenset(all_coords)
+            a = conjoin_all([_rename(a, src, big_names, ctx) for src in sources])
+            if grade.value >= 2:
+                a = conjoin(a, distinctness_apt(
+                    tuple(grid), ctx.alphabet(big_names), ctx.cgs.states,
+                    lambda letter: ctx.cgs.successors(letter[1]),
+                ))
+            a = simplify(a, budget=ctx.budget)
+            coords, names = tuple(all_coords), outer_names
+        npt = ctx.remove_alternation(a, sum(g.value for (_k, _v, g) in block))
     finally:
         ctx._depth -= 1
-    out = simplify(project(npt, coords), budget=ctx.budget)
-    if universal:
-        out = dualize(out)
-    return out, names
-
-
-def _expand(quants, body, ctx):
-    """Copy-and-rename expansion of a quantifier block, innermost quantifier
-    first.
-
-    Returns (automaton, copy coordinates to project, outer free names).
-    The automaton conjoins, for every way of instantiating each quantifier
-    grade-many times, a renamed body copy, together with a distinctness
-    requirement per quantifier instance.
-    """
-    a, names = _compile(body, ctx)
-    # stop before the first rename when a level would read an alphabet over
-    # the budget: a level of grade g over vars reads the names left free by
-    # it and the levels inside, and g copies of vars and of the inner levels'
-    # copy coordinates
-    free, n_coords = names, 0
-    for vars_, grade in reversed(quants):
-        free = free - frozenset(vars_)
-        n_coords = grade.value * (len(vars_) + n_coords)
-        ctx.check_alphabet(len(free) + n_coords)
-
-    coords = ()
-    for vars_, grade in reversed(quants):
-        outer_names = names - frozenset(vars_)
-        if grade.value == 0:
-            # "at least zero witnesses" holds vacuously
-            a = accept_all(ctx.alphabet(outer_names), ctx.cgs.states)
-            coords, names = (), outer_names
-            continue
-        # every copy reads the block alphabet: its own renamed coordinates,
-        # and the coordinates of variables the body ignores still exist there
-        read = names | frozenset(coords)
-        sources = []
-        all_coords = []
-        grid = []
-        for j in range(1, grade.value + 1):
-            ren = {x: _copy_name(x, j) for x in (*vars_, *coords)}
-            sources.append({x: ren.get(x, x) for x in read})
-            all_coords.extend(sorted(ren.values()))
-            grid.append(tuple(ren[v] for v in sorted(vars_)))
-
-        big_names = outer_names | frozenset(all_coords)
-        a = conjoin_all([_rename(a, src, big_names, ctx) for src in sources])
-        if grade.value >= 2:
-            a = conjoin(a, distinctness_apt(
-                tuple(grid), ctx.alphabet(big_names), ctx.cgs.states,
-                lambda letter: ctx.cgs.successors(letter[1]),
-            ))
-        a = simplify(a, budget=ctx.budget)
-        coords, names = tuple(all_coords), outer_names
-    return a, coords, names
+    return simplify(project(npt, coords), budget=ctx.budget), names

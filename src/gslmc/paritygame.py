@@ -14,14 +14,17 @@ reached through, so its attractor rank strictly decreases along the
 strategy.
 
 Every game is split into a transient part and a core.  The transient part
-is the least set of vertices whose predecessors are all transient (every
-vertex without a predecessor is one); no play visits a transient vertex
-twice, so its priority cannot matter.  The core is the rest: it is closed
-under successors and holds every vertex on or below a cycle.  The winner of
-a play depends only on the vertices it visits infinitely often, which all
-lie in the core, so Zielonka's algorithm solves the core alone, and a
+is the least set of vertices whose predecessors other than themselves are
+all transient (every vertex without another predecessor is one), so the
+only cycle through a transient vertex is its own self-loop, if it has one,
+and a play that leaves a transient vertex never comes back to it.  The core
+is the rest: it is closed under successors and holds every vertex on or
+below a longer cycle.  Zielonka's algorithm solves the core alone, and a
 retrograde pass over the transient vertices, successors first, extends its
-regions and strategies to the whole game.
+regions and strategies to the whole game: the owner of a transient vertex
+wins there iff a move leaves into the owner's region, or the vertex has a
+self-loop whose priority has the owner's parity.  A dead end's added loop
+has the owner's losing parity, so the owner loses there.
 
 Zielonka's algorithm runs on an explicit stack over one shared subgame mask.
 A frame removes the attractor it splits off from the mask and keeps only the
@@ -62,7 +65,7 @@ class ParityGame:
     """Vertices carry an owner, a priority, and a successor list.
 
     transient holds the transient vertices in topological order: every
-    predecessor of a transient vertex comes before it.
+    predecessor of a transient vertex, other than itself, comes before it.
     """
 
     def __init__(self, owners, priorities, successors):
@@ -87,28 +90,33 @@ class ParityGame:
         listed_slot[self.succ_ptr[dead]] = False
         self.succ_dat[listed_slot] = listed
         self.succ_dat[self.succ_ptr[dead]] = dead
+        source = np.repeat(np.arange(n, dtype=np.int64), deg)
+        loops = np.bincount(source[self.succ_dat == source], minlength=n)
         # predecessors of w in increasing source order, with multiplicity:
         # sorting the edges' values target * n + source gives that order with
         # any sort, since equal values are equal edges; sorted in place, so
         # one edge-sized array is sorted and no index array is made
         pred = self.succ_dat * n
-        pred += np.repeat(np.arange(n, dtype=np.int64), deg)
+        pred += source
+        del source
         pred.sort()
         pred %= n
         self.pred_dat = pred
         indeg = np.bincount(self.succ_dat, minlength=n)
         self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(indeg, out=self.pred_ptr[1:])
-        # transient vertices, predecessors first (Kahn's order); a dead end
-        # has its self-loop, so it is never transient
+        # transient vertices, predecessors first: Kahn's order over the edges
+        # other than self-loops (a dead end's added loop is one of them)
+        indeg -= loops
         peel = np.flatnonzero(indeg == 0).tolist()
         if peel:
             left = indeg.tolist()
             for v in peel:  # grows while it is read
                 for w in successors[v]:
-                    left[w] -= 1
-                    if not left[w]:
-                        peel.append(w)
+                    if w != v:
+                        left[w] -= 1
+                        if not left[w]:
+                            peel.append(w)
         self.transient = np.array(peel, dtype=np.int64)
 
     def successors_of(self, v):
@@ -253,8 +261,9 @@ def solve_zielonka(game):
 
 def _settle_transient(game, win, strat):
     """Extend the core's regions and strategies to the transient vertices,
-    successors first: the owner wins at v iff some successor is in the
-    owner's region, and moves to the first such successor."""
+    successors first: the owner wins at v iff some other successor is in the
+    owner's region, or v has a self-loop and its priority has the owner's
+    parity; the owner moves to the first such successor, maybe v itself."""
     t = game.transient
     if not t.size:
         return
@@ -262,13 +271,15 @@ def _settle_transient(game, win, strat):
     succ = succ.tolist()
     bounds = [0] + lens.cumsum().tolist()
     owners = game.owner[t].tolist()
+    parity = (game.priority[t] % 2).tolist()
     vs = t.tolist()
     moves = [-1] * len(vs)
-    w = win.tolist()
+    w = win.tolist()  # -1 at v itself until it is settled
     for i in range(len(vs) - 1, -1, -1):
         o = owners[i]
+        stay = parity[i] == o
         for u in succ[bounds[i] : bounds[i + 1]]:
-            if w[u] == o:
+            if w[u] == o or (stay and u == vs[i]):
                 w[vs[i]] = o
                 moves[i] = u
                 break

@@ -7,6 +7,7 @@ Oracle notes:
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -171,6 +172,18 @@ NESTING = {
 }
 
 
+# The walks checked at the bound, as (formula, --budget): every NESTING kind,
+# and two quantifier nestings that compile level by level.  Alternating
+# <<x>> and [[x]] never pool into one block, and each ! above a [[x]] is one
+# more negation to dualize.  47 ![[x]] take minutes to stop at --budget 1000;
+# their walk is deepest at the innermost level, before the first stage.
+DEEP_CHECKS = {
+    **{kind: (make(fm.MAX_NESTING), "1000") for kind, make in NESTING.items()},
+    "alternating": (" ".join(["<<x>>", "[[x]]"][i % 2] for i in range(97)) + " (a0,x) X p", "1000"),
+    "negated-forall": ("![[x]] " * 47 + "(a0,x) X p", "200"),
+}
+
+
 class TestNestingBound:
     @pytest.mark.parametrize("kind", sorted(NESTING))
     def test_bound_checks_and_one_more_level_is_a_parse_error(self, capsys, toggle_path, kind):
@@ -186,6 +199,22 @@ class TestNestingBound:
         code, out, err = run(capsys, "check", toggle_path, "-f", NESTING[kind](fm.MAX_NESTING + 1))
         assert code == 2 and not out
         assert f"nests deeper than {fm.MAX_NESTING} levels" in err
+
+    @pytest.mark.parametrize("kind", sorted(DEEP_CHECKS))
+    def test_check_at_the_bound_fits_the_recursion_limit(self, capsys, toggle_path, kind):
+        # a RecursionError would exit 6; parsing nested parentheses takes six
+        # frames a level, every other walk less than 4.5
+        text, budget = DEEP_CHECKS[kind]
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + (650 if kind == "parentheses" else 450))
+        try:
+            code, _, err = run(capsys, "check", toggle_path, "-f", text, "--budget", budget)
+        finally:
+            sys.setrecursionlimit(old)
+        assert code in (0, 1, 4), err
 
 
 class TestAlphabetBudget:
@@ -273,6 +302,20 @@ class TestStatsAndStages:
             "stage 3: nondeterminize depth=2 copies=2 in=5 out=8",
         ]
         assert err == "error: determinization work exceeds the budget (100000)\n"
+
+    def test_negated_block_pools_through_a_double_negation(self, capsys):
+        # !<<x>> !!<<y>> is the negation of one existential block over x, y
+        model = os.path.join(DATA, "pennies.json")
+        text = "!<<x>> !!<<y>> (a0,x)(a1,y) X p"
+        code, out, _ = run(capsys, "check", model, "-f", text, "--stats")
+        assert code == 1 and out.splitlines()[2:] == [
+            "nondeterminization-stages: 1",
+            "stage 1: nondeterminize depth=1 copies=2 in=2 out=3",
+            "FAILS",
+        ]
+        cgs = cli._load_model(model)
+        f = fm.parse_formula(text, set(cgs.agents))
+        assert compiler.check_sentence(f, cgs, mode="single")[0] is False
 
 
 def constant_machine():

@@ -8,14 +8,18 @@ Oracle notes:
 """
 
 import itertools
+import json
+import os
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gslmc import formula as fm
 from gslmc.cgs import load_cgs, FiniteStrategy
 from gslmc.compiler import check_sentence, check_assignment, compile_formula
-from gslmc.errors import ModelError, UnsupportedGradeError
+from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 from gslmc.oracle import oracle_check, EXACT
 
 from conftest import make_cgs, TOGGLE, SINGLE_ACTION
@@ -167,3 +171,98 @@ class TestPipelineAgainstOracle:
                 f = parse(t, g.agents)
                 res = oracle_check(g, f, justification="memoryless-sufficient")
                 assert check_sentence(f, g)[0] == res.verdict, (i, t)
+
+
+# ---------------------------------------------------------------------------
+# properties over random sentences
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples_data")
+
+
+def load_example(name):
+    with open(os.path.join(DATA, f"{name}.json")) as fh:
+        return load_cgs(json.load(fh))
+
+
+MODELS = {name: load_example(name) for name in ("toggle", "pennies")}
+
+
+@st.composite
+def sentences(draw):
+    """(model name, sentence text) over toggle or pennies: a quantifier at
+    the top, at most two nested, grades 0-2, and every temporal operator
+    under bindings of all agents."""
+    name = draw(st.sampled_from(sorted(MODELS)))
+    agents = MODELS[name].agents
+
+    def formula(depth, bound, kinds=None):
+        if kinds is None:
+            kinds = ["atom"]
+            if depth:
+                kinds += ["not", "binary"] + ["temporal", "until"] * bool(bound)
+                kinds += ["quantifier"] * (len(bound) < 2)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            return draw(st.sampled_from(["p", "true", "false"]))
+        if kind == "not":
+            return "!" + formula(depth - 1, bound)
+        if kind == "binary":
+            op = draw(st.sampled_from(["&&", "||", "->"]))
+            return f"({formula(depth - 1, bound)} {op} {formula(depth - 1, bound)})"
+        if kind == "quantifier":
+            var, grade = "xy"[len(bound)], draw(st.integers(0, 2))
+            prefix = draw(st.sampled_from(["", "!", "!!"]))
+            quant = draw(st.sampled_from([f"<<{var}>>^>={grade}", f"[[{var}]]^<{grade}"]))
+            return f"{prefix}{quant} {formula(depth - 1, bound + [var])}"
+        binds = "".join(f"({a},{draw(st.sampled_from(bound))})" for a in agents)
+        if kind == "until":
+            return f"{binds} ({formula(depth - 1, bound)} U {formula(depth - 1, bound)})"
+        return f"{binds} {draw(st.sampled_from('XFG'))} {formula(depth - 1, bound)}"
+
+    return name, formula(4, [], kinds=["quantifier"])
+
+
+def check_within_budget(name, f, mode):
+    """(verdict, context), or None when the check stops on the budget."""
+    try:
+        return check_sentence(f, MODELS[name], mode=mode, budget=3000)
+    except ResourceBudgetError:
+        return None
+
+
+def check_property(prop):
+    """Run prop over the drawn sentences; it returns False when a check
+    stopped on the budget.  Most sentences must be decided."""
+    decided = []
+
+    @given(sentences())
+    def run(case):
+        name, text = case
+        decided.append(prop(name, fm.parse_formula(text, set(MODELS[name].agents))))
+
+    run()
+    assert decided.count(True) >= 0.9 * len(decided)
+
+
+def test_block_and_single_modes_agree_and_pool():
+    def prop(name, f):
+        block, single = (check_within_budget(name, f, mode) for mode in ("block", "single"))
+        if block is None or single is None:
+            return False
+        assert block[0] == single[0]
+        assert block[1].stage_count() <= single[1].stage_count()
+        assert len(block[1].stages) <= len(single[1].stages)
+        return True
+
+    check_property(prop)
+
+
+def test_negation_complements_the_verdict():
+    def prop(name, f):
+        pos, neg = (check_within_budget(name, g, "block") for g in (f, fm.Not(f)))
+        if pos is None or neg is None:
+            return False
+        assert neg[0] == (not pos[0])
+        return True
+
+    check_property(prop)

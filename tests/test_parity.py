@@ -208,11 +208,12 @@ def dag_over_core(rng):
 
 
 def transient_by_definition(game):
-    """Least fixpoint T = {v : every predecessor of v is in T}."""
+    """Least fixpoint T = {v : every predecessor of v other than v is in T}."""
     preds = [set() for _ in range(game.n)]
     for v in range(game.n):
         for w in game.successors_of(v):
-            preds[w].add(v)
+            if w != v:
+                preds[w].add(v)
     t = set()
     while True:
         grown = {v for v in range(game.n) if preds[v] <= t}
@@ -239,7 +240,7 @@ class TestTransient:
             pos = {v: k for k, v in enumerate(order)}
             for v in range(g.n):
                 for w in g.successors_of(v):
-                    if w in pos:
+                    if w in pos and w != v:
                         assert pos[v] < pos[w]
 
     def test_chains_call_attractor_at_most_once(self, monkeypatch):
@@ -253,20 +254,21 @@ class TestTransient:
         monkeypatch.setattr(ParityGame, "attractor", counted)
         n = 2000
         owners = np.random.default_rng(5).integers(2, size=n).tolist()
-        # tail chain (only the sink's priority is even) and head chain
+        # tail chain (only the sink's priority is even) and head chain; the
+        # sink's only cycle is its own loop, so the whole chain is transient
         for prios in ([1] * (n - 1) + [0], list(range(n))):
             g = chain(n, owners, prios)
-            assert g.transient.tolist() == list(range(n - 1))
+            assert g.transient.tolist() == list(range(n))
             calls.clear()
             win, _ = solve_zielonka(g)
-            assert len(calls) <= 1
+            assert not calls
             assert (win == prios[-1] % 2).all()
 
 
 class TestRegressions:
     def test_deep_head_chain_within_default_recursion_limit(self):
-        # one distinct priority per vertex; every vertex but the sink is
-        # transient, so the chain is settled by one retrograde pass of n steps
+        # one distinct priority per vertex; every vertex is transient, so
+        # the chain is settled by one retrograde pass of n steps
         n = 3000
         assert sys.getrecursionlimit() < n
         rng = np.random.default_rng(3)
@@ -277,18 +279,19 @@ class TestRegressions:
             assert verify_strategy(g, win == player, player, strat)
 
     def test_deep_head_chain_with_a_loop_at_the_head(self):
-        # the loop on vertex 0 leaves no vertex transient: one distinct
+        # the two-cycle 0 <-> 1 leaves no vertex transient: one distinct
         # priority per vertex makes Zielonka's stack n frames deep
         n = 3000
         assert sys.getrecursionlimit() < n
         owners = np.random.default_rng(3).integers(2, size=n).tolist()
-        succs = [[1, 0]] + [[v + 1] for v in range(1, n - 1)] + [[n - 1]]
+        succs = [[1], [2, 0]] + [[v + 1] for v in range(2, n - 1)] + [[n - 1]]
         g = ParityGame(owners, list(range(n)), succs)
         assert g.transient.size == 0
         win, strat = solve_zielonka(g)
-        # only the owner of vertex 0 can stay on its loop of priority 0
-        assert win[0] == owners[0]
-        assert (win[1:] == REFUTER).all()  # the sink's loop has odd priority n-1
+        # the owner of vertex 1 decides: Verifier stays on the cycle, whose
+        # least priority is 0, and Refuter moves on down the chain
+        assert win[0] == win[1] == owners[1]
+        assert (win[2:] == REFUTER).all()  # the sink's loop has odd priority n-1
         for player in (VERIFIER, REFUTER):
             assert verify_strategy(g, win == player, player, strat)
 
@@ -297,16 +300,46 @@ class TestRegressions:
         # along the chain for n rounds
         n = 2000
         owners = np.random.default_rng(4).integers(2, size=n).tolist()
-        succs = [[1, 0]] + [[v + 1] for v in range(1, n - 1)] + [[n - 1]]
+        succs = [[1], [2, 0]] + [[v + 1] for v in range(2, n - 1)] + [[n - 1]]
         g = ParityGame(owners, [1] * (n - 1) + [0], succs)
         assert g.transient.size == 0
         win, strat = solve_zielonka(g)
-        # the owner of vertex 0 wins there: Verifier moves on to the sink,
-        # Refuter stays on the loop of priority 1
-        assert win[0] == owners[0]
-        assert (win[1:] == VERIFIER).all()
+        # the owner of vertex 1 decides: Verifier moves on to the sink,
+        # Refuter stays on the cycle of priority 1
+        assert win[0] == win[1] == owners[1]
+        assert (win[2:] == VERIFIER).all()
         for player in (VERIFIER, REFUTER):
             assert verify_strategy(g, win == player, player, strat)
+
+    def test_self_loop_ladder_is_settled_without_attractors(self, monkeypatch):
+        # edges v -> v and v -> v+1, priority v, owners alternating: every
+        # vertex is its own strongly connected component, which once cost
+        # Zielonka a quadratic number of attractor calls
+        calls = []
+        attractor = ParityGame.attractor
+
+        def counted(game, *args):
+            calls.append(args)
+            return attractor(game, *args)
+
+        monkeypatch.setattr(ParityGame, "attractor", counted)
+        n = 3000
+        succs = [[v, v + 1] for v in range(n - 1)] + [[n - 1]]
+        for phase in (0, 1):
+            owners = [(v + phase) % 2 for v in range(n)]
+            g = ParityGame(owners, list(range(n)), succs)
+            assert g.transient.size == n
+            win, strat = solve_zielonka(g)
+            assert not calls
+            if phase == 0:
+                # each owner stays on a loop of its own parity
+                assert win.tolist() == owners and strat.tolist() == list(range(n))
+            else:
+                # no owner likes its loop; the last vertex's odd loop wins
+                # for Refuter, and every vertex above it follows
+                assert (win == REFUTER).all()
+            for player in (VERIFIER, REFUTER):
+                assert verify_strategy(g, win == player, player, strat)
 
     def test_strategies_verify_on_random_degree_4_games(self):
         for seed in range(40):
