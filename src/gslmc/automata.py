@@ -151,13 +151,18 @@ def distinctness_apt(grid, alphabet, directions, allowed_dirs):
 # NPT shape and projection
 
 
-def is_npt(a):
-    """Every disjunct of every transition assigns exactly one move per direction."""
+def is_npt(a, budget):
+    """Every disjunct of every transition assigns exactly one move per direction.
+
+    The minimal models of a conjunction over disjunctions are charged to one
+    count per call, bounded by the budget (posbool.minimal_models).
+    """
     dirs = set(a.directions)
+    spent = [0]
     # distinct formulas in table order: the walk, and so the work done
     # before an early False, must not depend on the hash seed
     for f in dict.fromkeys(a.trans.values()):
-        for model in _disjuncts(f):
+        for model in _disjuncts(f, budget, spent):
             seen = {}
             for d, q in model:
                 if d in seen:
@@ -168,7 +173,7 @@ def is_npt(a):
     return True
 
 
-def _disjuncts(f):
+def _disjuncts(f, budget, spent):
     """Disjuncts of f viewed as a disjunction of move-conjunctions.
 
     Only meaningful for NPT-shaped formulas; built syntactically: an 'or'
@@ -188,22 +193,22 @@ def _disjuncts(f):
                 moves.add(k[1])
             else:
                 # nested structure: fall back to minimal models
-                return pb.minimal_models(f)
+                return pb.minimal_models(f, budget, spent)
         return [frozenset(moves)]
     out = []
     for k in f[1]:
-        out.extend(_disjuncts(k))
+        out.extend(_disjuncts(k, budget, spent))
     return out
 
 
-def project(a, coords):
+def project(a, coords, budget):
     """Erase valuation coordinates `coords` existentially (NPT input only).
 
     Letters are (valuation, state) pairs; the result reads valuations without
     the projected names and its transition is the disjunction over all ways
-    of re-adding them.
+    of re-adding them.  The budget bounds the check of the input's shape.
     """
-    if not is_npt(a):
+    if not is_npt(a, budget):
         raise ModelError("projection requires a nondeterministic automaton")
     coords = tuple(coords)
     if not coords:
@@ -269,50 +274,62 @@ def membership_game(a, tree):
         for d in a.directions:
             if (node, d) not in tree.children:
                 raise ModelError(f"tree generator not total at {node!r}/{d!r}")
-    neutral = a.max_priority() + 2
-    positions = {}
-    owners = []
-    prios = []
-    succs = []
-    queue = deque()  # state positions whose transition is still unexpanded
+    build = _GameBuilder(a, tree)
+    start = build.state_pos(tree.root, a.initial)
+    while build.queue:
+        node, q, idx = build.queue.popleft()
+        build.succs[idx].append(build.formula_pos(node, a.trans[(q, tree.letter(node))]))
+    return ParityGame(build.owners, build.prios, build.succs), start
 
-    def add(key, owner, prio):
-        idx = positions[key] = len(owners)
-        owners.append(owner)
-        prios.append(prio)
-        succs.append([])
+
+class _GameBuilder:
+    """The positions of a membership game as they are discovered.
+
+    Its methods call each other through the instance, so no closure refers
+    to itself and the lists are freed as soon as the game is built.
+    """
+
+    def __init__(self, a, tree):
+        self.a = a
+        self.tree = tree
+        self.neutral = a.max_priority() + 2
+        self.positions = {}
+        self.owners = []
+        self.prios = []
+        self.succs = []
+        self.queue = deque()  # state positions whose transition is still unexpanded
+
+    def add(self, key, owner, prio):
+        idx = self.positions[key] = len(self.owners)
+        self.owners.append(owner)
+        self.prios.append(prio)
+        self.succs.append([])
         return idx
 
-    def state_pos(node, q):
-        idx = positions.get(("q", node, q))
+    def state_pos(self, node, q):
+        idx = self.positions.get(("q", node, q))
         if idx is None:
-            idx = add(("q", node, q), VERIFIER, a.priority[q])
-            queue.append((node, q, idx))
+            idx = self.add(("q", node, q), VERIFIER, self.a.priority[q])
+            self.queue.append((node, q, idx))
         return idx
 
-    def formula_pos(node, f):
+    def formula_pos(self, node, f):
         key = ("f", node, f)
-        idx = positions.get(key)
+        idx = self.positions.get(key)
         if idx is not None:
             return idx
         if f == pb.TRUE or f == pb.FALSE:
             # a self-loop: even priority, Verifier wins; odd, Verifier loses
-            idx = add(key, VERIFIER, 0 if f == pb.TRUE else 1)
-            succs[idx].append(idx)
+            idx = self.add(key, VERIFIER, 0 if f == pb.TRUE else 1)
+            self.succs[idx].append(idx)
         elif f[0] == "a":
             d, q2 = f[1]
-            idx = add(key, VERIFIER, neutral)
-            succs[idx].append(state_pos(tree.child(node, d), q2))
+            idx = self.add(key, VERIFIER, self.neutral)
+            self.succs[idx].append(self.state_pos(self.tree.child(node, d), q2))
         else:
-            idx = add(key, VERIFIER if f[0] == "|" else 1 - VERIFIER, neutral)
-            succs[idx].extend([formula_pos(node, k) for k in f[1]])
+            idx = self.add(key, VERIFIER if f[0] == "|" else 1 - VERIFIER, self.neutral)
+            self.succs[idx].extend([self.formula_pos(node, k) for k in f[1]])
         return idx
-
-    start = state_pos(tree.root, a.initial)
-    while queue:
-        node, q, idx = queue.popleft()
-        succs[idx].append(formula_pos(node, a.trans[(q, tree.letter(node))]))
-    return ParityGame(owners, prios, succs), start
 
 
 def member(a, tree):

@@ -305,4 +305,4 @@ def _block(block, body, ctx):
         npt = ctx.remove_alternation(a, sum(g.value for (_k, _v, g) in block))
     finally:
         ctx._depth -= 1
-    return simplify(project(npt, coords), budget=ctx.budget), names
+    return simplify(project(npt, coords, ctx.budget), budget=ctx.budget), names

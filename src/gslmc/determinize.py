@@ -208,7 +208,10 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
         combinations,
       - the work, combinations times directions summed over the explored
         (Safra tree or breakpoint state, letter) pairs, exceeds
-        20 * `budget` (letters that share a key are each charged), or
+        20 * `budget` (letters that share a key are each charged),
+      - the minimal models of the input's transitions, computed once per
+        distinct formula, take more than 20 * `budget` candidate models and
+        subset tests in all, or
       - the construction reaches more than `budget` Safra trees, or more
         than `budget` states.
 
@@ -220,7 +223,7 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     result.
     """
     a = simplify(a, budget=budget)
-    if is_npt(a):
+    if is_npt(a, budget):
         return a
     if set(a.priority.values()) <= {0, 1}:
         out = breakpoint_construction(a, budget)
@@ -380,6 +383,7 @@ class _Build:
         self.classes = {}  # (state, letter) -> class id of its transition
         self.class_ids = {}  # transition formula -> class id
         self.models = []  # class id -> minimal models of its formula
+        self.model_work = [0]  # charged by every minimal_models call
         self.edge_ids = {}
         self.edge_of = []
         self.choice_ids = {}  # (active states, class ids) -> choice id
@@ -413,7 +417,7 @@ class _Build:
             c = self.class_ids.get(f)
             if c is None:
                 c = self.class_ids[f] = len(self.models)
-                self.models.append(pb.minimal_models(f))
+                self.models.append(pb.minimal_models(f, self.budget, self.model_work))
             self.classes[(q, letter)] = c
         return c
 

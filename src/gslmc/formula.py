@@ -415,21 +415,17 @@ def print_formula(f):
 
 def free_placeholders(f, agents):
     """Free agents and variables of f, relative to the agent set."""
-    agents = frozenset(agents)
-
-    def go(f):
-        free = frozenset()
-        for g in subformulas(f):
-            free |= go(g)
-        if isinstance(f, (Next, Until)):
-            return agents | free
-        if isinstance(f, ExistsGraded):
-            return free - frozenset(f.vars)
-        if isinstance(f, Bind) and f.agent in free:
-            return (free - {f.agent}) | {f.var}
-        return free
-
-    return go(f)
+    agents = frozenset(agents)  # a frozenset comes back as itself: one set for the walk
+    free = frozenset()
+    for g in subformulas(f):
+        free |= free_placeholders(g, agents)
+    if isinstance(f, (Next, Until)):
+        return agents | free
+    if isinstance(f, ExistsGraded):
+        return free - frozenset(f.vars)
+    if isinstance(f, Bind) and f.agent in free:
+        return (free - {f.agent}) | {f.var}
+    return free
 
 
 def is_sentence(f, agents):
@@ -535,7 +531,16 @@ def quantifier_rank(f):
 
 
 def quantifier_block_rank(f):
-    return _fold_prefixes(f, lambda prefix, inner: 1 + _switches(prefix) + inner)
+    """Nesting depth of quantifier blocks as the compiler pools them: a
+    negation is transparent (it dualizes), and each existential quantifier
+    starts a block, strip_same_type_block's, around the rest."""
+    if isinstance(f, ExistsGraded):
+        _block, body = strip_same_type_block(f)
+        return 1 + quantifier_block_rank(body)
+    n = 0
+    for g in subformulas(f):
+        n = max(n, quantifier_block_rank(g))
+    return n
 
 
 def _is_nested_goal(f, agents):

@@ -13,6 +13,16 @@ An attracted vertex of the player points at the frontier vertex it was
 reached through, so its attractor rank strictly decreases along the
 strategy.
 
+Storage widths: the CSR arrays, the priorities and the transient order are
+int32, owners int8, and strategies int32.  A game with more than 2**31 - 1
+vertices or edges, or with a successor or priority outside int32, is
+rejected with ValueError.  Only the stored game is 32-bit: numpy casts an
+index array that is not intp to intp on every fancy index, so each block
+gathered from the game is cast to intp once, as it is gathered, and the
+solvers' temporaries index with intp.  The attractor lowers its int32 counts
+by an int32 scalar, since a Python int sends np.subtract.at down numpy's
+slow generic loop.
+
 Every game is split into a transient part and a core.  The transient part
 is the least set of vertices whose predecessors other than themselves are
 all transient (every vertex without another predecessor is one), so the
@@ -42,21 +52,37 @@ from gslmc.errors import ResourceBudgetError
 
 VERIFIER = 0
 REFUTER = 1
+INT32_MAX = np.iinfo(np.int32).max
+_ONE = np.int32(1)  # typed, so that np.subtract.at on int32 counts takes its fast loop
+
+
+def _int32(values, count, what):
+    """The first count values as an int32 array; ValueError if one does not fit."""
+    try:
+        return np.fromiter(values, dtype=np.int32, count=count)
+    except OverflowError:
+        raise ValueError(f"{what} outside the int32 range") from None
 
 
 def _gather(ptr, dat, vs):
-    """Concatenated CSR rows of the vertices vs, and each row's length."""
-    starts = ptr[vs]
+    """Concatenated CSR rows of the vertices vs (intp), and each row's length.
+
+    The rows come out as intp: numpy casts any other index array to intp on
+    every fancy index, so the block is cast here once, in the buffer of its
+    own positions.
+    """
+    starts = ptr[vs].astype(np.intp)
     lens = ptr[vs + 1] - starts
     ends = lens.cumsum()
-    offsets = ends - lens  # where each row lands in the output
-    idx = np.arange(ends[-1] if ends.size else 0) + (starts - offsets).repeat(lens)
-    return dat[idx], lens
+    rows = (starts - ends + lens).repeat(lens)  # row start minus where it lands
+    rows += np.arange(rows.size)
+    rows[...] = dat[rows]
+    return rows, lens
 
 
 def _distinct(vs, stamp):
     """One occurrence of each vertex of vs; stamp is n-sized scratch space."""
-    pos = np.arange(vs.size)
+    pos = np.arange(vs.size, dtype=np.int32)
     stamp[vs] = pos
     return vs[stamp[vs] == pos]
 
@@ -72,38 +98,46 @@ class ParityGame:
         n = len(owners)
         if len(priorities) != n or len(successors) != n:
             raise ValueError("owner/priority/successor lists must align")
+        if n > INT32_MAX:
+            raise ValueError(f"a game has at most {INT32_MAX} vertices")
         self.n = n
         self.owner = np.array(owners, dtype=np.int8)
-        self.priority = np.array(priorities, dtype=np.int64)
-        deg = np.fromiter((len(s) for s in successors), dtype=np.int64, count=n)
-        listed = np.fromiter(chain.from_iterable(successors), dtype=np.int64, count=int(deg.sum()))
+        self.priority = _int32(priorities, n, "priority")
+        deg = np.fromiter(map(len, successors), dtype=np.intp, count=n)
+        listed = _int32(chain.from_iterable(successors), int(deg.sum()), "successor")
         if listed.size and (listed.min() < 0 or listed.max() >= n):
             raise ValueError("successor out of range")
         # dead end: loses for its owner
         dead = np.flatnonzero(deg == 0)
+        if listed.size + dead.size > INT32_MAX:
+            raise ValueError(f"a game has at most {INT32_MAX} edges")
         self.priority[dead] = np.where(self.owner[dead] == VERIFIER, 1, 0)
         deg[dead] = 1
-        self.succ_ptr = np.zeros(n + 1, dtype=np.int64)
+        self.succ_ptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(deg, out=self.succ_ptr[1:])
-        self.succ_dat = np.empty(int(self.succ_ptr[-1]), dtype=np.int64)
+        self.succ_dat = np.empty(int(self.succ_ptr[-1]), dtype=np.int32)
+        dead_slot = self.succ_ptr[dead].astype(np.intp)
         listed_slot = np.ones(self.succ_dat.size, dtype=bool)
-        listed_slot[self.succ_ptr[dead]] = False
+        listed_slot[dead_slot] = False
         self.succ_dat[listed_slot] = listed
-        self.succ_dat[self.succ_ptr[dead]] = dead
-        source = np.repeat(np.arange(n, dtype=np.int64), deg)
-        loops = np.bincount(source[self.succ_dat == source], minlength=n)
+        self.succ_dat[dead_slot] = dead
+        del listed, listed_slot
         # predecessors of w in increasing source order, with multiplicity:
-        # sorting the edges' values target * n + source gives that order with
-        # any sort, since equal values are equal edges; sorted in place, so
-        # one edge-sized array is sorted and no index array is made
-        pred = self.succ_dat * n
-        pred += source
+        # sorting the edges' int64 keys target * n + source gives that order
+        # with any sort, since equal keys are equal edges; the keys are sorted
+        # in place and live only until pred_dat is cut from them
+        source = np.repeat(np.arange(n, dtype=np.int32), deg)
+        loops = np.bincount(source[self.succ_dat == source], minlength=n)
+        key = self.succ_dat.astype(np.int64)
+        key *= n
+        key += source
         del source
-        pred.sort()
-        pred %= n
-        self.pred_dat = pred
+        key.sort()
+        key %= n
+        self.pred_dat = key.astype(np.int32)
+        del key
         indeg = np.bincount(self.succ_dat, minlength=n)
-        self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
+        self.pred_ptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(indeg, out=self.pred_ptr[1:])
         # transient vertices, predecessors first: Kahn's order over the edges
         # other than self-loops (a dead end's added loop is one of them)
@@ -117,7 +151,7 @@ class ParityGame:
                         left[w] -= 1
                         if not left[w]:
                             peel.append(w)
-        self.transient = np.array(peel, dtype=np.int64)
+        self.transient = np.array(peel, dtype=np.int32)
 
     def successors_of(self, v):
         return self.succ_dat[self.succ_ptr[v] : self.succ_ptr[v + 1]].tolist()
@@ -133,17 +167,18 @@ class ParityGame:
         elsewhere.
         """
         sub = np.asarray(sub_mask, dtype=bool)
-        in_attr = sub & np.asarray(seed_mask, dtype=bool)
-        strat = np.full(self.n, -1, dtype=np.int64)
+        seed = sub & np.asarray(seed_mask, dtype=bool)
+        free = sub ^ seed  # in sub and not attracted yet (seed lies in sub)
+        strat = np.full(self.n, -1, dtype=np.int32)
         # successors in sub still outside the attractor, for the opponent
         # vertices hit so far (-1: not hit yet)
         left = np.full(self.n, -1, dtype=np.int32)
-        stamp = np.empty(self.n, dtype=np.int64)
-        frontier = np.flatnonzero(in_attr)
+        stamp = np.empty(self.n, dtype=np.int32)
+        frontier = np.flatnonzero(seed)
         while frontier.size:
             preds, lens = _gather(self.pred_ptr, self.pred_dat, frontier)
             via = frontier.repeat(lens)
-            keep = sub[preds] & ~in_attr[preds]
+            keep = free[preds]
             preds = preds[keep]
             if not preds.size:
                 break
@@ -151,16 +186,27 @@ class ParityGame:
             won = preds[mine]
             # any frontier vertex will do: all of them have the previous rank
             strat[won] = via[keep][mine]
+            del via
             hit = preds[~mine]
             fresh = _distinct(hit[left[hit] < 0], stamp)
             if fresh.size:
-                succ, lens = _gather(self.succ_ptr, self.succ_dat, fresh)
-                row = np.arange(fresh.size).repeat(lens)
-                left[fresh] = np.bincount(row[sub[succ]], minlength=fresh.size)
-            np.subtract.at(left, hit, 1)
-            frontier = np.concatenate((_distinct(won, stamp), _distinct(hit[left[hit] == 0], stamp)))
-            in_attr[frontier] = True
-        return in_attr, strat
+                left[fresh] = _count_successors_in(self, fresh, sub)
+            np.subtract.at(left, hit, _ONE)
+            # won and hit are disjoint: they differ in owner
+            frontier = _distinct(np.concatenate((won, hit[left[hit] == 0])), stamp)
+            free[frontier] = False
+            del preds, keep, mine, won, hit  # edge-sized: gone before the next gather
+        return sub ^ free, strat
+
+
+def _count_successors_in(game, vs, mask):
+    """For each vertex of vs, how many of its successors lie inside mask.
+
+    Summed by row with reduceat, which needs no empty row: every vertex has
+    a successor, a dead end its added loop.
+    """
+    succ, lens = _gather(game.succ_ptr, game.succ_dat, vs)
+    return np.add.reduceat(mask[succ], lens.cumsum() - lens, dtype=np.int32)
 
 
 def _first_successors_in(game, vs, mask):
@@ -169,7 +215,7 @@ def _first_successors_in(game, vs, mask):
     row = np.arange(len(vs)).repeat(lens)
     inside = mask[succ]
     rows, first = np.unique(row[inside], return_index=True)
-    out = np.full(len(vs), -1, dtype=np.int64)
+    out = np.full(len(vs), -1, dtype=np.int32)
     out[rows] = succ[inside][first]
     return out
 
@@ -203,7 +249,7 @@ def solve_zielonka(game):
     """
     n = game.n
     win = np.full(n, -1, dtype=np.int8)
-    strat = np.full(n, -1, dtype=np.int64)
+    strat = np.full(n, -1, dtype=np.int32)
     sub = np.ones(n, dtype=bool)  # the subgame of the top frame: the core
     sub[game.transient] = False
     stack = [_Frame()]
@@ -264,7 +310,7 @@ def _settle_transient(game, win, strat):
     successors first: the owner wins at v iff some other successor is in the
     owner's region, or v has a self-loop and its priority has the owner's
     parity; the owner moves to the first such successor, maybe v itself."""
-    t = game.transient
+    t = game.transient.astype(np.intp)
     if not t.size:
         return
     succ, lens = _gather(game.succ_ptr, game.succ_dat, t)

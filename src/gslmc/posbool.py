@@ -26,6 +26,8 @@ object.  A memo holds the results of one walk: `map_atoms` needs one dict per
 is module-level, so no formula outlives the check that built it.
 """
 
+from gslmc.errors import ResourceBudgetError
+
 TRUE = ("t",)
 FALSE = ("f",)
 
@@ -117,16 +119,36 @@ def atoms(f, memo=None):
     return out
 
 
-def _antichain(sets):
+def _antichain(sets, count, budget, spent):
+    """The minimal sets among the `count` candidate sets.  Each candidate is
+    charged one before any is made, and each subset test one more."""
+    limit = 20 * budget
+    work = spent[0] + count
     out = []
-    for s in sorted(sets, key=len):
-        if not any(t <= s for t in out):
-            out.append(s)
+    if work <= limit:
+        for s in sorted(sets, key=len):
+            work += len(out)  # at most this many tests for s
+            if work > limit:
+                break
+            for t in out:
+                if t <= s:
+                    break
+            else:
+                out.append(s)
+    spent[0] = work
+    if work > limit:
+        raise ResourceBudgetError(f"minimal models exceed the budget ({budget})")
     return out
 
 
-def minimal_models(f):
-    """Minimal sets of moves satisfying f (empty list iff f unsatisfiable)."""
+def minimal_models(f, budget, spent):
+    """Minimal sets of moves satisfying f (empty list iff f unsatisfiable).
+
+    The work is charged to spent, a one-element list that the recursion
+    shares and that a caller shares over the calls of one operation: one
+    for each candidate model and each subset test of the antichains that
+    keep the minimal ones.  Past 20 * budget it raises ResourceBudgetError.
+    """
     if f == TRUE:
         return [frozenset()]
     if f == FALSE:
@@ -136,12 +158,13 @@ def minimal_models(f):
     if f[0] == "|":
         models = []
         for k in f[1]:
-            models.extend(minimal_models(k))
-        return _antichain(models)
+            models.extend(minimal_models(k, budget, spent))
+        return _antichain(models, len(models), budget, spent)
     models = [frozenset()]
     for k in f[1]:
-        kid = minimal_models(k)
-        models = _antichain([m | km for m in models for km in kid])
+        kid = minimal_models(k, budget, spent)
+        combined = (m | km for m in models for km in kid)
+        models = _antichain(combined, len(models) * len(kid), budget, spent)
         if not models:
             return []
     return models

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -181,7 +182,7 @@ class TestProjection:
             for letter in alphabet
         }
         a = Apt(alphabet, ("d0",), 1, 0, trans, {0: 0})
-        assert is_npt(a)
+        assert is_npt(a, DEFAULT_BUDGET)
         alternating = Apt(
             alphabet,
             ("d0", "d1"),
@@ -191,7 +192,7 @@ class TestProjection:
             {0: 0},
         )
         with pytest.raises(ModelError):
-            project(alternating, ("x",))
+            project(alternating, ("x",), DEFAULT_BUDGET)
 
     def test_projection_soundness_on_memoryless_witnesses(self, rng):
         # if some per-node relabeling is accepted, the projection accepts;
@@ -212,8 +213,8 @@ class TestProjection:
                         )
                     trans[(q, letter)] = pb.disj(models)
             a = Apt(alphabet, dirs, nq, 0, trans, {q: rng.randrange(3) for q in range(nq)})
-            assert is_npt(a)
-            p = project(a, ("x",))
+            assert is_npt(a, DEFAULT_BUDGET)
+            p = project(a, ("x",), DEFAULT_BUDGET)
             t = random_tree(rng, plain, dirs, max_nodes=2)
             projected = member(p, t)
             witnessed = False
@@ -243,6 +244,21 @@ class TestMembershipGame:
         tree = RegularTree({0: 0}, {(0, 0): 0}, 0)
         with pytest.raises(ModelError, match="not total"):
             membership_game(a, tree)
+
+    def test_building_leaves_nothing_to_the_cyclic_collector(self, rng):
+        # the game's lists are freed when it is dropped, not at the next
+        # collection, so peak memory follows live data
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                a = random_apt(rng)
+                game, _ = membership_game(a, random_tree(rng, a.alphabet, a.directions))
+                assert game.n > 1
+                del game
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestUnwinding:

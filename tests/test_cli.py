@@ -129,6 +129,14 @@ class TestCheckExitCodes:
         code, _, err = run(capsys, "check", model, "-f", f, "--budget", "200")
         assert code == 4 and "budget" in err
 
+    def test_minimal_models_stop_on_the_budget(self, capsys, toggle_path):
+        # 47 alternating blocks give transitions whose minimal models once
+        # took minutes before any other budget stop
+        f = "![[x]] " * 47 + "(a0,x) X p"
+        code, out, err = run(capsys, "check", toggle_path, "-f", f, "--budget", "500")
+        assert code == 4 and not out
+        assert err == "error: minimal models exceed the budget (500)\n"
+
     def test_out_of_memory_is_four(self, capsys, toggle_path, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -308,7 +316,9 @@ class TestStatsAndStages:
         model = os.path.join(DATA, "pennies.json")
         text = "!<<x>> !!<<y>> (a0,x)(a1,y) X p"
         code, out, _ = run(capsys, "check", model, "-f", text, "--stats")
-        assert code == 1 and out.splitlines()[2:] == [
+        assert code == 1 and out.splitlines() == [
+            "quantifier-rank: 2",
+            "quantifier-block-rank: 1",
             "nondeterminization-stages: 1",
             "stage 1: nondeterminize depth=1 copies=2 in=2 out=3",
             "FAILS",

@@ -250,6 +250,7 @@ def test_block_and_single_modes_agree_and_pool():
         if block is None or single is None:
             return False
         assert block[0] == single[0]
+        assert block[1].stage_count() == fm.quantifier_block_rank(f)
         assert block[1].stage_count() <= single[1].stage_count()
         assert len(block[1].stages) <= len(single[1].stages)
         return True

@@ -239,11 +239,11 @@ class TestBreakpoint:
         for _ in range(120):
             # random_apt draws priorities below max_pr: here 0 and 1
             a = simplify(random_apt(rng, max_states=4, max_pr=2), DEFAULT_BUDGET)
-            if is_npt(a):
+            if is_npt(a, DEFAULT_BUDGET):
                 continue
             bp = simplify(breakpoint_construction(a, DEFAULT_BUDGET), DEFAULT_BUDGET)
             safra = simplify(safra_construction(a, DEFAULT_BUDGET), DEFAULT_BUDGET)
-            assert is_npt(bp) and nondeterminize(a).n_states == bp.n_states
+            assert is_npt(bp, DEFAULT_BUDGET) and nondeterminize(a).n_states == bp.n_states
             sizes.append((bp.n_states, safra.n_states))
             for _ in range(10):
                 t = random_tree(rng, a.alphabet, a.directions)
@@ -319,7 +319,7 @@ class TestNondeterminize:
         for _ in range(30):
             a = random_apt(rng, max_states=4, max_pr=3, alpha=(0, 1), dirs=(0, 1))
             n = nondeterminize(a, budget=300_000)
-            assert is_npt(n)
+            assert is_npt(n, DEFAULT_BUDGET)
             for _ in range(10):
                 t = random_tree(rng, a.alphabet, a.directions)
                 assert member(a, t) == member(n, t)
@@ -327,7 +327,7 @@ class TestNondeterminize:
     def test_npt_input_passes_through_shape(self, rng):
         a = nondeterminize(random_apt(rng), budget=300_000)
         again = nondeterminize(a, budget=300_000)
-        assert is_npt(again)
+        assert is_npt(again, DEFAULT_BUDGET)
         for _ in range(5):
             t = random_tree(rng, a.alphabet, a.directions)
             assert member(a, t) == member(again, t)
@@ -369,7 +369,7 @@ class TestSharedLetters:
         checked = 0
         for _ in range(60):
             a = simplify(random_apt(rng, max_states=4, max_pr=max_pr), DEFAULT_BUDGET)
-            if is_npt(a):
+            if is_npt(a, DEFAULT_BUDGET):
                 continue
             a2, copy = self.doubled(a)
             out = construction(a, DEFAULT_BUDGET)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -147,6 +148,16 @@ class TestFreePlaceholders:
     def test_quantifier_removes_tuple(self):
         f = parse("<<x,y>>^>=1 (a,x) (b,y) X p", AG2)
         assert fm.free_placeholders(f, AG2) == set()
+
+    def test_walk_leaves_nothing_to_the_cyclic_collector(self):
+        f = parse("<<x>>^>=1 (a,x) ((b,x) X p U <<y>> (b,y) F !p)", AG2)
+        gc.collect()
+        gc.disable()
+        try:
+            assert fm.free_placeholders(f, AG2) == {"b"}  # the until reads b
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_double_implementation_agreement(self):
         # independent re-statement of the defining clauses

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -342,6 +343,9 @@ class TestRegressions:
                 assert verify_strategy(g, win == player, player, strat)
 
     def test_strategies_verify_on_random_degree_4_games(self):
+        # the digest pins win and strategy element by element, as the solver
+        # with int64 storage computed them
+        digest = hashlib.sha256()
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n = 300
@@ -353,6 +357,10 @@ class TestRegressions:
             win, strat = solve_zielonka(g)
             for player in (VERIFIER, REFUTER):
                 assert verify_strategy(g, win == player, player, strat), seed
+            digest.update(repr((win.tolist(), strat.tolist())).encode())
+        assert digest.hexdigest() == (
+            "6c26fef351988e8133c1fe0ea7265d0a71cf29caaf37d8c9460073bc074ccea0"
+        )
 
     def test_dump_with_dead_ends_and_duplicate_successors(self):
         g = ParityGame([VERIFIER, REFUTER, VERIFIER, REFUTER], [2, 3, 4, 5], [[1, 1, 2], [], [], [0, 3, 0]])
@@ -377,6 +385,34 @@ class TestRegressions:
             assert g.pred_ptr.tolist() == [0] + np.cumsum(indeg).tolist(), seed
 
     def test_successor_out_of_range_rejected(self):
-        for bad in (2, -1):
+        # a ValueError, not numpy's OverflowError, for values beyond int32
+        for bad in (2, -1, 2**31, 2**63):
             with pytest.raises(ValueError):
                 ParityGame([VERIFIER, REFUTER], [0, 1], [[1], [bad]])
+
+    def test_priority_beyond_int32_rejected(self):
+        for bad in (2**31, -(2**31) - 1):
+            with pytest.raises(ValueError):
+                ParityGame([VERIFIER, REFUTER], [0, bad], [[1], [0]])
+
+
+class TestStorage:
+    def test_footprint_of_a_100k_vertex_game(self):
+        n = 100_000
+        rng = np.random.default_rng(1)
+        g = ParityGame(
+            rng.integers(2, size=n).tolist(),
+            rng.integers(4, size=n).tolist(),
+            rng.integers(n, size=(n, 4)).tolist(),
+        )
+        arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+        assert all(a.dtype == np.int32 for a in arrays if a is not g.owner)
+        assert g.owner.dtype == np.int8
+        # int64 storage took 8,916,128 bytes (8.50 MiB) for this game; every
+        # array but the int8 owners now takes half of its old size
+        rest = sum(a.nbytes for a in arrays) - g.owner.nbytes
+        assert rest <= (8_916_128 - g.owner.nbytes) // 2
+        win, strat = solve_zielonka(g)
+        assert win.dtype == np.int8 and strat.dtype == np.int32
+        attr, attr_strat = g.attractor(VERIFIER, g.priority == 0, np.ones(n, dtype=bool))
+        assert attr.dtype == bool and attr_strat.dtype == np.int32
