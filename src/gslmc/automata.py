@@ -201,22 +201,20 @@ def _disjuncts(f, budget, spent):
     return out
 
 
-def project(a, coords, budget):
-    """Erase valuation coordinates `coords` existentially (NPT input only).
+def project(a, coords):
+    """Erase valuation coordinates `coords` existentially.
 
     Letters are (valuation, state) pairs; the result reads valuations without
     the projected names and its transition is the disjunction over all ways
-    of re-adding them.  The budget bounds the check of the input's shape.
+    of re-adding them.  This is sound only on a nondeterministic automaton,
+    whose disjuncts pick one move per direction: the caller passes the output
+    of alternation removal (determinize.nondeterminize), whose NPT shape the
+    tests pin, and the shape is not checked again here.  The result is not
+    simplified.
     """
-    if not is_npt(a, budget):
-        raise ModelError("projection requires a nondeterministic automaton")
     coords = tuple(coords)
     if not coords:
         return a
-    names_seen = {name for (val, _s) in a.alphabet for (name, _x) in val}
-    for c in coords:
-        if c not in names_seen and a.alphabet:
-            raise ModelError(f"projected coordinate {c!r} absent from alphabet")
     new_letters = sorted(
         {(tuple(kv for kv in val if kv[0] not in coords), s) for (val, s) in a.alphabet}
     )

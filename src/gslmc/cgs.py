@@ -1,7 +1,6 @@
 """Concurrent game structures and finite-memory strategies."""
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from gslmc.errors import ModelError
@@ -38,20 +37,13 @@ def _require(cond, msg):
         raise ModelError(msg)
 
 
-def load_cgs(document):
-    """Parse and validate the JSON model format.
+def load_cgs(doc):
+    """Validate a parsed JSON model document and build its structure.
 
     Transitions are objects {from, decision, to}; a decision maps each agent
     to an action or the wildcard "*".  Entries must be pairwise
     non-overlapping and jointly total.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise ModelError(f"model is not valid JSON: {e}") from e
-    else:
-        doc = document
     _require(isinstance(doc, dict), "a model must be a JSON object")
     for key in ("atoms", "agents", "actions", "states", "initial", "label", "transitions"):
         _require(key in doc, f"model is missing field {key!r}")

@@ -44,7 +44,14 @@ def _formula_text(args):
     raise ParseError("no formula given; use -f TEXT or -F FILE")
 
 
-def _load_assignment(path, cgs):
+def _load_assignment(path, f, cgs):
+    """The machines of the --assign document at path, or None without one:
+    then f may have no free placeholders."""
+    if path is None:
+        free = fm.free_placeholders(f, set(cgs.agents))
+        if free:
+            raise ParseError(f"formula has free placeholders {sorted(free)}; use --assign")
+        return None
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -107,12 +114,11 @@ def _mem(v):
     return int(v) if isinstance(v, str) and v.lstrip("-").isdigit() else v
 
 
-def _print_stats(f, cgs, ctx):
+def _print_stats(f, ctx):
     """The --stats lines: the formula's quantifier ranks and the stages of
     alternation removal that finished."""
-    report = fm.analyze_fragment(f, set(cgs.agents))
-    print(f"quantifier-rank: {report.quantifier_rank}")
-    print(f"quantifier-block-rank: {report.quantifier_block_rank}")
+    print(f"quantifier-rank: {fm.quantifier_rank(f)}")
+    print(f"quantifier-block-rank: {fm.quantifier_block_rank(f)}")
     print(f"nondeterminization-stages: {ctx.stage_count()}")
     for i, s in enumerate(ctx.stages, start=1):
         print(
@@ -127,11 +133,7 @@ def cmd_check(args):
     f = fm.parse_formula(text, set(cgs.agents))
     if not fm.grades_all_finite(f):
         raise UnsupportedGradeError("infinite grades unsupported")
-    assignment = _load_assignment(args.assign, cgs) if args.assign else None
-    free = fm.free_placeholders(f, set(cgs.agents))
-    if free and assignment is None:
-        print(f"error: formula has free placeholders {sorted(free)}; use --assign")
-        return EXIT_USAGE
+    assignment = _load_assignment(args.assign, f, cgs)
     try:
         if assignment is None:
             holds, ctx = check_sentence(f, cgs, budget=args.budget)
@@ -140,10 +142,10 @@ def cmd_check(args):
     except ResourceBudgetError as e:
         # a stop reports the stages that finished before it
         if args.stats and e.context is not None:
-            _print_stats(f, cgs, e.context)
+            _print_stats(f, e.context)
         raise
     if args.stats:
-        _print_stats(f, cgs, ctx)
+        _print_stats(f, ctx)
     if args.emit_stage:
         _emit_stages(ctx, args.emit_stage)
     print("HOLDS" if holds else "FAILS")
@@ -239,7 +241,7 @@ def cmd_oracle(args):
     cgs = _load_model(args.model)
     text = _formula_text(args)
     f = fm.parse_formula(text, set(cgs.agents))
-    assignment = _load_assignment(args.assign, cgs) if args.assign else None
+    assignment = _load_assignment(args.assign, f, cgs)
     res = oracle_check(
         cgs,
         f,

@@ -140,7 +140,7 @@ def _compile(f, ctx):
         a, names = _compile(f.sub, ctx)
         return dualize(a), names
     if isinstance(f, fm.Or):
-        return _boolean(f.left, f.right, disjoin, ctx)
+        return _or(f.left, f.right, ctx)
     if isinstance(f, fm.Next):
         return _next(f.sub, ctx)
     if isinstance(f, fm.Until):
@@ -184,11 +184,11 @@ def _lift(a, names, target, ctx):
     return _rename(a, {x: x for x in names}, target, ctx)
 
 
-def _boolean(left, right, op, ctx):
+def _or(left, right, ctx):
     a, na = _compile(left, ctx)
     b, nb = _compile(right, ctx)
     names = na | nb
-    return op(_lift(a, na, names, ctx), _lift(b, nb, names, ctx)), names
+    return disjoin(_lift(a, na, names, ctx), _lift(b, nb, names, ctx)), names
 
 
 def _play_direction(ctx, names):
@@ -255,9 +255,12 @@ def _block(block, body, ctx):
     block is a list of ("E", vars, grade).  The body is expanded innermost
     quantifier first: a renamed body copy for every way of instantiating each
     quantifier grade-many times, conjoined with a distinctness requirement
-    per instance.  Alternation is removed once, and the copy coordinates are
-    projected away.  A universal block [[x]]^<g body is !<<x>>^>=g !body, so
-    it reaches here under the negation above it.
+    per instance.  Each level is simplified where it is built, alternation
+    is removed once, and the copy coordinates are projected away from the
+    resulting NPT.  The projection is not simplified here: an enclosing
+    block simplifies each level it builds on it.  A universal block
+    [[x]]^<g body is !<<x>>^>=g !body, so it reaches here under the
+    negation above it.
     """
     ctx._depth += 1
     try:
@@ -305,4 +308,4 @@ def _block(block, body, ctx):
         npt = ctx.remove_alternation(a, sum(g.value for (_k, _v, g) in block))
     finally:
         ctx._depth -= 1
-    return simplify(project(npt, coords, ctx.budget), budget=ctx.budget), names
+    return project(npt, coords), names

@@ -196,11 +196,18 @@ def safra_step(shape, images, neutral):
 
 
 def nondeterminize(a, budget=DEFAULT_BUDGET):
-    """Equivalent nondeterministic parity tree automaton.
+    """Equivalent nondeterministic parity tree automaton: a simplified
+    automaton in, a simplified NPT out.
 
-    Already-nondeterministic inputs pass through (after simplification).  An
+    The input is not simplified again.  Its one caller in the compiler is a
+    quantifier block, which simplifies every level it builds, and a grade-0
+    level hands over `accept_all`, which is already simple.  On an
+    unsimplified input the result is still an equivalent NPT, only perhaps
+    larger.  Already-nondeterministic inputs pass through unchanged.  An
     input whose priorities lie in {0, 1} goes through the breakpoint
-    construction, every other input through compact Safra trees.
+    construction, every other input through compact Safra trees, and only
+    their output is simplified.  Projection relies on the NPT shape of the
+    result (automata.project).
     Raises ResourceBudgetError, besides simplify's own state-budget stop,
     when
       - one choice key, (active states, class id of each one's transition
@@ -222,7 +229,6 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     value order of posbool children; the ids fix the state numbering of the
     result.
     """
-    a = simplify(a, budget=budget)
     if is_npt(a, budget):
         return a
     if set(a.priority.values()) <= {0, 1}:

@@ -20,7 +20,7 @@ def action_on_history(strat, history):
 
 class TestLoading:
     def test_toggle_loads(self):
-        cgs = load_cgs(json.dumps(TOGGLE))
+        cgs = load_cgs(json.loads(json.dumps(TOGGLE)))
         assert cgs.states == ("s0", "s1")
         assert cgs.step("s0", ("a",)) == "s1"
 
@@ -53,10 +53,6 @@ class TestLoading:
         doc["initial"] = "nowhere"
         with pytest.raises(ModelError):
             load_cgs(doc)
-
-    def test_bad_json_rejected(self):
-        with pytest.raises(ModelError):
-            load_cgs("{not json")
 
 
 class TestPlays:

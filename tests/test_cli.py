@@ -69,8 +69,22 @@ class TestCheckExitCodes:
         assert code == 2 and not out and "no formula given" in err
 
     def test_free_placeholder_without_assign_is_two(self, capsys, toggle_path):
-        code, out, _ = run(capsys, "check", toggle_path, "-f", "(a0,x) X p")
-        assert code == 2
+        code, out, err = run(capsys, "check", toggle_path, "-f", "(a0,x) X p")
+        assert code == 2 and not out
+        assert err == "error: formula has free placeholders ['x']; use --assign\n"
+
+    def test_oracle_free_placeholder_without_assign_is_two(self, capsys, toggle_path):
+        code, out, err = run(capsys, "oracle", toggle_path, "-f", "(a0,x) X p")
+        assert code == 2 and not out
+        assert err == "error: formula has free placeholders ['x']; use --assign\n"
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_assign_missing_a_name_is_three(self, capsys, toggle_path, tmp_path, command):
+        p = tmp_path / "assign.json"
+        p.write_text(json.dumps({"x": constant_machine()}))
+        code, out, err = run(capsys, command, toggle_path, "--assign", str(p),
+                             "-f", "(a0,x) X (a0,y) X p")
+        assert code == 3 and not out and err.startswith("error:")
 
     def test_model_error_is_three(self, capsys, tmp_path):
         bad = json.loads(json.dumps(TOGGLE))
@@ -88,6 +102,12 @@ class TestCheckExitCodes:
         p.write_text(json.dumps(dict(TOGGLE, **{field: value})))
         code, _, err = run(capsys, "check", str(p), "-f", "p")
         assert code == 3 and err.startswith("error:")
+
+    def test_model_file_that_is_not_json_is_two(self, capsys, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("{not json")
+        code, out, err = run(capsys, "check", str(p), "-f", "p")
+        assert code == 2 and not out and err.startswith("error:")
 
     def test_unreadable_model_is_two(self, capsys, tmp_path):
         p = tmp_path / "bad.json"

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from gslmc import formula as fm
 from gslmc.cgs import load_cgs, FiniteStrategy
+from gslmc.automata import is_npt
 from gslmc.compiler import check_sentence, check_assignment, compile_formula
+from gslmc.determinize import DEFAULT_BUDGET
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 from gslmc.oracle import oracle_check, EXACT
 
@@ -185,15 +187,18 @@ def load_example(name):
 
 
 MODELS = {name: load_example(name) for name in ("toggle", "pennies")}
+FIXTURES = st.sampled_from([MODELS[name] for name in sorted(MODELS)])
+# random single-action structures, where the oracle is exact
+SINGLE_ACTION_MODELS = st.builds(
+    lambda seed, n_states, n_agents: make_cgs(random.Random(seed), n_states, n_agents, 1),
+    st.integers(0, 2**16), st.integers(2, 3), st.integers(1, 2),
+)
 
 
-@st.composite
-def sentences(draw):
-    """(model name, sentence text) over toggle or pennies: a quantifier at
-    the top, at most two nested, grades 0-2, and every temporal operator
-    under bindings of all agents."""
-    name = draw(st.sampled_from(sorted(MODELS)))
-    agents = MODELS[name].agents
+def formula_text(draw, agents, depth, bound, kinds=None):
+    """A formula over the agents, drawn with draw: at most two nested
+    quantifiers, the placeholders in `bound` already quantified, grades
+    0-2, and every temporal operator under bindings of all agents."""
 
     def formula(depth, bound, kinds=None):
         if kinds is None:
@@ -219,51 +224,99 @@ def sentences(draw):
             return f"{binds} ({formula(depth - 1, bound)} U {formula(depth - 1, bound)})"
         return f"{binds} {draw(st.sampled_from('XFG'))} {formula(depth - 1, bound)}"
 
-    return name, formula(4, [], kinds=["quantifier"])
+    return formula(depth, bound, kinds)
 
 
-def check_within_budget(name, f, mode):
+@st.composite
+def sentences(draw, models):
+    """(model, sentence text) over a model drawn from `models`, with a
+    quantifier at the top."""
+    g = draw(models)
+    return g, formula_text(draw, g.agents, 4, [], kinds=["quantifier"])
+
+
+@st.composite
+def graded_bodies(draw, models):
+    """(model, text of a body under the quantified x, a grade 0-1)."""
+    g = draw(models)
+    return g, formula_text(draw, g.agents, 3, ["x"]), draw(st.integers(0, 1))
+
+
+def check_within_budget(g, f, mode):
     """(verdict, context), or None when the check stops on the budget."""
     try:
-        return check_sentence(f, MODELS[name], mode=mode, budget=3000)
+        return check_sentence(f, g, mode=mode, budget=3000)
     except ResourceBudgetError:
         return None
 
 
-def check_property(prop):
-    """Run prop over the drawn sentences; it returns False when a check
-    stopped on the budget.  Most sentences must be decided."""
+def check_property(prop, cases):
+    """Run prop(model, formula, *rest) over the drawn cases (model, formula
+    text, *rest); it returns False when a check stopped on the budget.  Most
+    cases must be decided."""
     decided = []
 
-    @given(sentences())
+    @given(cases)
     def run(case):
-        name, text = case
-        decided.append(prop(name, fm.parse_formula(text, set(MODELS[name].agents))))
+        g, text, *rest = case
+        decided.append(prop(g, parse(text, g.agents), *rest))
 
     run()
     assert decided.count(True) >= 0.9 * len(decided)
 
 
 def test_block_and_single_modes_agree_and_pool():
-    def prop(name, f):
-        block, single = (check_within_budget(name, f, mode) for mode in ("block", "single"))
+    def prop(g, f):
+        block, single = (check_within_budget(g, f, mode) for mode in ("block", "single"))
         if block is None or single is None:
             return False
         assert block[0] == single[0]
         assert block[1].stage_count() == fm.quantifier_block_rank(f)
         assert block[1].stage_count() <= single[1].stage_count()
         assert len(block[1].stages) <= len(single[1].stages)
+        # projection trusts alternation removal to return an NPT
+        for _, ctx in (block, single):
+            assert all(is_npt(s["npt"], DEFAULT_BUDGET) for s in ctx.stages)
         return True
 
-    check_property(prop)
+    check_property(prop, sentences(FIXTURES))
 
 
 def test_negation_complements_the_verdict():
-    def prop(name, f):
-        pos, neg = (check_within_budget(name, g, "block") for g in (f, fm.Not(f)))
+    def prop(g, f):
+        pos, neg = (check_within_budget(g, h, "block") for h in (f, fm.Not(f)))
         if pos is None or neg is None:
             return False
         assert neg[0] == (not pos[0])
         return True
 
-    check_property(prop)
+    check_property(prop, sentences(FIXTURES))
+
+
+def test_single_action_models_agree_with_the_oracle():
+    # with one action the oracle's memory-1 enumeration is exact
+    def prop(g, f):
+        got = check_within_budget(g, f, "block")
+        if got is None:
+            return False
+        res = oracle_check(g, f)
+        assert res.confidence == EXACT
+        assert got[0] == res.verdict
+        return True
+
+    check_property(prop, sentences(SINGLE_ACTION_MODELS))
+
+
+def test_grades_are_monotone():
+    # at least g + 1 witnesses include at least g
+    def prop(g, body, grade):
+        more, fewer = (
+            check_within_budget(g, fm.ExistsGraded(("x",), fm.finite(k), body), "block")
+            for k in (grade + 1, grade)
+        )
+        if more is None or fewer is None:
+            return False
+        assert fewer[0] or not more[0]
+        return True
+
+    check_property(prop, graded_bodies(FIXTURES))

@@ -13,8 +13,11 @@ from dataclasses import replace
 import pytest
 
 from gslmc import cli, determinize
+from gslmc import formula as fm
 from gslmc import posbool as pb
 from gslmc.automata import is_npt, member, simplify
+from gslmc.cgs import load_cgs
+from gslmc.compiler import check_sentence
 from gslmc.determinize import (
     DEFAULT_BUDGET,
     BadTraceNbw,
@@ -316,6 +319,8 @@ class TestPackedSets:
 
 class TestNondeterminize:
     def test_membership_preserved(self, rng):
+        # raw random automata, not simplified first: both constructions and
+        # the pass-through must give an equivalent NPT on unsimplified input
         for _ in range(30):
             a = random_apt(rng, max_states=4, max_pr=3, alpha=(0, 1), dirs=(0, 1))
             n = nondeterminize(a, budget=300_000)
@@ -485,6 +490,12 @@ GOLDEN_RING_STAGES = {
 }
 
 
+def assert_npt_stages(game, sentence, verdict, n_stages):
+    holds, ctx = check_sentence(fm.parse_formula(sentence, set(game.agents)), game)
+    assert ("HOLDS" if holds else "FAILS") == verdict and len(ctx.stages) == n_stages
+    assert all(is_npt(s["npt"], DEFAULT_BUDGET) for s in ctx.stages)
+
+
 class TestGoldenStages:
     @pytest.mark.parametrize("model,objectives", sorted(GOLDEN_STAGES))
     def test_stage_dumps_match(self, model, objectives):
@@ -497,6 +508,22 @@ class TestGoldenStages:
         model = tmp_path / "ring.json"
         model.write_text(json.dumps(ring_model(n, agents)))
         assert stage_digests(in_process, str(model), sentence, verdict) == digests
+
+    # projection trusts alternation removal to return an NPT: every stage
+    # of the golden sentences pins that
+    @pytest.mark.parametrize("model,objectives", sorted(GOLDEN_STAGES))
+    def test_every_stage_is_an_npt(self, model, objectives):
+        verdict, digests = GOLDEN_STAGES[(model, objectives)]
+        model, objectives = os.path.join(DATA, model), os.path.join(DATA, objectives)
+        code, sentence = in_process("gen", "unique-ne", model, "--objectives", objectives)
+        assert code == 0
+        with open(model) as fh:
+            assert_npt_stages(load_cgs(json.load(fh)), sentence, verdict, len(digests) // 2)
+
+    @pytest.mark.parametrize("n,agents,sentence", sorted(GOLDEN_RING_STAGES))
+    def test_every_wide_alphabet_stage_is_an_npt(self, n, agents, sentence):
+        verdict, digests = GOLDEN_RING_STAGES[(n, agents, sentence)]
+        assert_npt_stages(load_cgs(ring_model(n, agents)), sentence, verdict, len(digests) // 2)
 
     def test_stage_dumps_match_under_another_hash_seed(self):
         seed = "2" if os.environ.get("PYTHONHASHSEED") != "2" else "5"
