@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from gslmc import posbool as pb
-from gslmc.errors import ModelError, ResourceBudgetError
+from gslmc.errors import ResourceBudgetError
 from gslmc.paritygame import ParityGame, solve_zielonka, VERIFIER
 
 
@@ -26,7 +26,7 @@ class Apt:
     priority: dict  # state -> nat
 
     def max_priority(self):
-        return max(self.priority.values()) if self.priority else 0
+        return max(self.priority.values())
 
 
 def accept_all(alphabet, directions):
@@ -50,9 +50,9 @@ def dualize(a):
 def join(a, b, fresh, fresh_priority):
     """a and b side by side, b's states after a's, plus one fresh initial
     state whose transition on each letter is fresh(letter, fa, fb), where fa
-    and fb are the transitions of a's and b's initial states."""
-    if set(a.alphabet) != set(b.alphabet) or set(a.directions) != set(b.directions):
-        raise ModelError("automata must share alphabet and directions")
+    and fb are the transitions of a's and b's initial states.  Both read
+    the same alphabet and directions: the compiler lifts every operand to
+    one alphabet over the structure's states."""
     off = a.n_states
     new0 = a.n_states + b.n_states
     trans = dict(a.trans)
@@ -111,16 +111,12 @@ def distinctness_apt(grid, alphabet, directions, allowed_dirs):
     length); letters are (valuation, state) pairs with the valuation given
     as a sorted tuple of (name, action) items.  For every pair of copies a
     walker state guesses a path to a node whose valuation separates them;
-    allowed_dirs(letter) gives the directions the walker may take.
-
-    For fewer than two copies distinctness is vacuous: accept everything.
+    allowed_dirs(letter) gives the directions the walker may take.  The
+    compiler builds it for two copies or more only, each a renaming of the
+    block's sorted variables.
     """
     g = len(grid)
-    if g <= 1:
-        return accept_all(alphabet, directions)
     n = len(grid[0])
-    if any(len(col) != n for col in grid):
-        raise ValueError("all copies must have the same arity")
     allowed = {letter: tuple(allowed_dirs(letter)) for letter in alphabet}
 
     pairs = [(a, b) for a in range(g) for b in range(a + 1, g)]
@@ -151,54 +147,27 @@ def distinctness_apt(grid, alphabet, directions, allowed_dirs):
 # NPT shape and projection
 
 
-def is_npt(a, budget):
-    """Every disjunct of every transition assigns exactly one move per direction.
+def is_npt(a):
+    """Is every transition a disjunction of conjunctions of atoms, each
+    conjunction moving exactly once along every direction?
 
-    The minimal models of a conjunction over disjunctions are charged to one
-    count per call, bounded by the budget (posbool.minimal_models).
+    The test is syntactic: TRUE and FALSE pass, and any deeper nesting
+    counts as alternating, even where the formula is equivalent to one of
+    the NPT shape.
     """
     dirs = set(a.directions)
-    spent = [0]
-    # distinct formulas in table order: the walk, and so the work done
-    # before an early False, must not depend on the hash seed
-    for f in dict.fromkeys(a.trans.values()):
-        for model in _disjuncts(f, budget, spent):
-            seen = {}
-            for d, q in model:
-                if d in seen:
-                    return False
-                seen[d] = q
-            if model and set(seen) != dirs:
+    for f in set(a.trans.values()):
+        if f == pb.TRUE or f == pb.FALSE:
+            continue
+        for c in f[1] if f[0] == "|" else (f,):
+            moves = c[1] if c[0] == "&" else (c,)
+            if (
+                len(moves) != len(dirs)
+                or any(m[0] != "a" for m in moves)
+                or {m[1][0] for m in moves} != dirs
+            ):
                 return False
     return True
-
-
-def _disjuncts(f, budget, spent):
-    """Disjuncts of f viewed as a disjunction of move-conjunctions.
-
-    Only meaningful for NPT-shaped formulas; built syntactically: an 'or'
-    yields its children's disjuncts, an 'and'/atom yields one conjunct set,
-    TRUE yields the empty conjunct, FALSE yields nothing.
-    """
-    if f == pb.FALSE:
-        return []
-    if f == pb.TRUE:
-        return [frozenset()]
-    if f[0] == "a":
-        return [frozenset([f[1]])]
-    if f[0] == "&":
-        moves = set()
-        for k in f[1]:
-            if k[0] == "a":
-                moves.add(k[1])
-            else:
-                # nested structure: fall back to minimal models
-                return pb.minimal_models(f, budget, spent)
-        return [frozenset(moves)]
-    out = []
-    for k in f[1]:
-        out.extend(_disjuncts(k, budget, spent))
-    return out
 
 
 def project(a, coords):
@@ -253,25 +222,16 @@ class RegularTree:
     def child(self, node, d):
         return self.children[(node, d)]
 
-    @property
-    def nodes(self):
-        return tuple(self.letters)
-
 
 def membership_game(a, tree):
     """Acceptance game: Verifier wins from the initial position iff a accepts.
 
     Positions are (generator node, state) pairs expanded through the
     transition formula's structure; Verifier owns disjunctions, Refuter
-    conjunctions.  Returns (game, index of the initial position).
+    conjunctions.  Returns (game, index of the initial position).  The tree
+    must be total over a's directions and labeled from a's alphabet, as
+    every encoding_tree is.
     """
-    alphabet = set(a.alphabet)
-    for node in tree.nodes:
-        if tree.letter(node) not in alphabet:
-            raise ModelError(f"tree letter {tree.letter(node)!r} not in the alphabet")
-        for d in a.directions:
-            if (node, d) not in tree.children:
-                raise ModelError(f"tree generator not total at {node!r}/{d!r}")
     build = _GameBuilder(a, tree)
     start = build.state_pos(tree.root, a.initial)
     while build.queue:
@@ -459,8 +419,6 @@ def _renumber(a, rep):
 
 def compress_priorities(a):
     used = sorted(set(a.priority.values()))
-    if not used:
-        return a
     out = {}
     cur = used[0] % 2
     out[used[0]] = cur

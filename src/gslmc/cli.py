@@ -127,7 +127,15 @@ def _print_stats(f, ctx):
         )
 
 
+def _check_budget(args):
+    """A --budget below 1 admits no construction at all: a usage error,
+    not a resource stop."""
+    if args.budget < 1:
+        raise ParseError(f"--budget must be at least 1, not {args.budget}")
+
+
 def cmd_check(args):
+    _check_budget(args)
     cgs = _load_model(args.model)
     text = _formula_text(args)
     f = fm.parse_formula(text, set(cgs.agents))
@@ -238,6 +246,7 @@ def cmd_oracle(args):
     if args.memory < 1:
         # no machine has fewer than one memory state: nothing to enumerate
         raise ParseError(f"--memory must be at least 1, not {args.memory}")
+    _check_budget(args)
     cgs = _load_model(args.model)
     text = _formula_text(args)
     f = fm.parse_formula(text, set(cgs.agents))
@@ -260,6 +269,7 @@ def cmd_oracle(args):
 
 
 def cmd_oracle_ne(args):
+    _check_budget(args)
     cgs = _load_model(args.model)
     with open(args.objectives) as fh:
         objectives = sol.load_objectives(json.load(fh), cgs)

@@ -61,7 +61,16 @@ class CompilationContext:
 
     def check_alphabet(self, n_names):
         """A ResourceBudgetError when the alphabet over n_names strategy
-        names would have more than `budget` letters."""
+        names would have more than `budget` letters.  From budget's bit
+        length on, two actions or more give at least 2 ** bits > budget
+        letters, and the exact count, which a huge grade would make too
+        large to compute, is not taken."""
+        bits = self.budget.bit_length()
+        if n_names >= bits and len(self.cgs.actions) >= 2:
+            raise ResourceBudgetError(
+                f"the alphabet over {bits} or more strategy names has at least"
+                f" {2 ** bits} letters, over the budget ({self.budget})"
+            )
         size = len(self.cgs.actions) ** n_names * len(self.cgs.states)
         if size > self.budget:
             raise ResourceBudgetError(

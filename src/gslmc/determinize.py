@@ -203,10 +203,10 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     quantifier block, which simplifies every level it builds, and a grade-0
     level hands over `accept_all`, which is already simple.  On an
     unsimplified input the result is still an equivalent NPT, only perhaps
-    larger.  Already-nondeterministic inputs pass through unchanged.  An
-    input whose priorities lie in {0, 1} goes through the breakpoint
-    construction, every other input through compact Safra trees, and only
-    their output is simplified.  Projection relies on the NPT shape of the
+    larger.  An input that is an NPT by syntax (automata.is_npt) passes
+    through unchanged.  An input whose priorities lie in {0, 1} goes
+    through the breakpoint construction, every other input through compact
+    Safra trees, and only their output is simplified.  Projection relies on the NPT shape of the
     result (automata.project).
     Raises ResourceBudgetError, besides simplify's own state-budget stop,
     when
@@ -229,7 +229,7 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     value order of posbool children; the ids fix the state numbering of the
     result.
     """
-    if is_npt(a, budget):
+    if is_npt(a):
         return a
     if set(a.priority.values()) <= {0, 1}:
         out = breakpoint_construction(a, budget)

@@ -309,7 +309,13 @@ class _Parser:
             val = self.peek()
             if val[0] == "num":
                 self.take()
-                return finite(int(val[1]))
+                try:
+                    n = int(val[1])
+                except ValueError:
+                    # int() refuses more digits than its limit (4300 by
+                    # default), and digits that are not decimal, such as "²"
+                    raise ParseError("grade is too long or not a decimal number", val[2]) from None
+                return finite(n)
             if val[0] == "word" and val[1] in _GRADE_WORDS:
                 self.take()
                 return _GRADE_WORDS[val[1]]

@@ -21,12 +21,11 @@ EXACT = "exact"
 LOWER_BOUND = "lower-bound-only"
 
 
-def enumerate_strategies(cgs, memory_bound, budget=DEFAULT_PROFILE_BUDGET, start=None):
+def enumerate_strategies(cgs, memory_bound, budget, start):
     """All finite-memory strategies with at most memory_bound memory states,
-    one per history function they compute from start (default: the initial
-    state).  Only machines with exactly memory_bound states are built: one
-    with fewer is such a machine whose extra states are unreachable."""
-    start = cgs.initial if start is None else start
+    one per history function they compute from the state start.  Only
+    machines with exactly memory_bound states are built: one with fewer is
+    such a machine whose extra states are unreachable."""
     memory = tuple(range(memory_bound))
     cells = [(m, q) for m in memory for q in cgs.states]
     if (memory_bound * len(cgs.actions)) ** len(cells) > budget:

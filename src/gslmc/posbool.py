@@ -17,13 +17,13 @@ directions are state names, strings); the order does not depend on the hash
 seed.  Negation does not exist; dualization swaps the two kinds and the two
 constants.
 
-The walks `dual`, `map_atoms` and `atoms` take an optional `memo` dict from
-formula to result.  An automaton operation that walks many transitions passes
-one dict for the whole operation, and the recursion shares it, so each
-distinct (sub)formula is walked once and equal inputs give one shared result
-object.  A memo holds the results of one walk: `map_atoms` needs one dict per
-`fn`.  Memos live only as long as the operation that made them; no cache here
-is module-level, so no formula outlives the check that built it.
+The walks `dual`, `map_atoms` and `atoms` take a `memo` dict from formula
+to result.  An automaton operation that walks many transitions passes one
+dict for the whole operation, and the recursion shares it, so each distinct
+(sub)formula is walked once and equal inputs give one shared result object.
+A memo holds the results of one walk: `map_atoms` needs one dict per `fn`.
+Memos live only as long as the operation that made them; no cache here is
+module-level, so no formula outlives the check that built it.
 """
 
 from gslmc.errors import ResourceBudgetError
@@ -63,15 +63,13 @@ def disj(items):
     return _build("|", items, FALSE, TRUE)
 
 
-def dual(f, memo=None):
+def dual(f, memo):
     if f == TRUE:
         return FALSE
     if f == FALSE:
         return TRUE
     if f[0] == "a":
         return f
-    if memo is None:
-        memo = {}
     out = memo.get(f)
     if out is None:
         kids = [dual(k, memo) for k in f[1]]
@@ -79,15 +77,13 @@ def dual(f, memo=None):
     return out
 
 
-def map_atoms(f, fn, memo=None):
+def map_atoms(f, fn, memo):
     """Rebuild f with every atom move m replaced by fn(m) (normalizing).
 
-    memo, if given, must only ever have been used with this same fn.
+    memo must only ever have been used with this same fn.
     """
     if f in (TRUE, FALSE):
         return f
-    if memo is None:
-        memo = {}
     out = memo.get(f)
     if out is None:
         if f[0] == "a":
@@ -99,14 +95,12 @@ def map_atoms(f, fn, memo=None):
     return out
 
 
-def atoms(f, memo=None):
+def atoms(f, memo):
     """Set of moves occurring in f."""
     if f in (TRUE, FALSE):
         return frozenset()
     if f[0] == "a":
         return frozenset([f[1]])
-    if memo is None:
-        memo = {}
     out = memo.get(f)
     if out is None:
         moves = set()
@@ -142,7 +136,8 @@ def _antichain(sets, count, budget, spent):
 
 
 def minimal_models(f, budget, spent):
-    """Minimal sets of moves satisfying f (empty list iff f unsatisfiable).
+    """Minimal sets of moves satisfying f; only FALSE has none, since a
+    normalized formula holds FALSE nowhere else.
 
     The work is charged to spent, a one-element list that the recursion
     shares and that a caller shares over the calls of one operation: one
@@ -165,8 +160,6 @@ def minimal_models(f, budget, spent):
         kid = minimal_models(k, budget, spent)
         combined = (m | km for m in models for km in kid)
         models = _antichain(combined, len(models) * len(kid), budget, spent)
-        if not models:
-            return []
     return models
 
 

@@ -23,7 +23,6 @@ from gslmc.automata import (
 )
 from gslmc.cgs import load_cgs
 from gslmc.determinize import DEFAULT_BUDGET
-from gslmc.errors import ModelError
 from conftest import TOGGLE
 
 
@@ -83,12 +82,8 @@ class TestBooleanOperations:
             assert member(acc, t) and not member(rej, t)
 
     @pytest.mark.parametrize("op", [conjoin, disjoin])
-    def test_combining_needs_shared_alphabet_and_directions(self, op):
+    def test_combining_reads_letters_in_any_order(self, op):
         a = accept_all((0, 1), (0, 1))
-        with pytest.raises(ModelError):
-            op(a, accept_all((0, 2), (0, 1)))
-        with pytest.raises(ModelError):
-            op(a, accept_all((0, 1), (0,)))
         assert op(a, accept_all((1, 0), (1, 0))).n_states == 3
 
     def test_relabel_reads_through_mapping(self, rng):
@@ -138,7 +133,7 @@ class TestDistinctness:
             # brute-force: difference must appear within |gen|^2 depth
             found = False
             frontier = [tree.root]
-            for _depth in range(len(tree.nodes) ** 2 + 1):
+            for _depth in range(len(tree.letters) ** 2 + 1):
                 nxt = []
                 for node in frontier:
                     val = dict(tree.letter(node)[0])
@@ -149,13 +144,6 @@ class TestDistinctness:
                 if found:
                     break
             assert member(apt, tree) == found
-
-    def test_single_copy_is_vacuous(self, rng):
-        alphabet = tuple((((("u", a),)), "s") for a in "ab")
-        alphabet = tuple(((("u", a),), "s") for a in "ab")
-        apt = distinctness_apt((("u",),), alphabet, ("d0",), lambda letter: ("d0",))
-        t = random_tree(rng, alphabet, ("d0",))
-        assert member(apt, t)
 
     def test_restricted_directions_hide_witnesses(self):
         # difference exists only in a direction the walker may not take
@@ -182,7 +170,7 @@ class TestProjection:
             for letter in alphabet
         }
         a = Apt(alphabet, ("d0",), 1, 0, trans, {0: 0})
-        assert is_npt(a, DEFAULT_BUDGET)
+        assert is_npt(a)
         alternating = Apt(
             alphabet,
             ("d0", "d1"),
@@ -193,7 +181,22 @@ class TestProjection:
         )
         # project does not check the shape: its input is alternation
         # removal's output, which tests/test_determinize.py pins as an NPT
-        assert not is_npt(alternating, DEFAULT_BUDGET)
+        assert not is_npt(alternating)
+
+    def test_npt_shape_is_syntactic(self):
+        alphabet = ("l",)
+        dirs = ("d0", "d1")
+
+        def apt(f):
+            return Apt(alphabet, dirs, 2, 0, {(q, "l"): f for q in range(2)}, {0: 0, 1: 1})
+
+        a0, a1, b0, b1 = (pb.atom(m) for m in [("d0", 0), ("d0", 1), ("d1", 0), ("d1", 1)])
+        assert is_npt(apt(pb.TRUE)) and is_npt(apt(pb.FALSE))
+        assert is_npt(apt(pb.disj([pb.conj([a0, b0]), pb.conj([a1, b1])])))
+        assert not is_npt(apt(a0))  # no move along d1
+        assert not is_npt(apt(pb.conj([a0, a1, b0])))  # two moves along d0
+        # equivalent to (a0 & b0) | (a0 & b1), but nested: alternating
+        assert not is_npt(apt(pb.conj([a0, pb.disj([b0, b1])])))
 
     def test_projection_soundness_on_memoryless_witnesses(self, rng):
         # if some per-node relabeling is accepted, the projection accepts;
@@ -214,15 +217,15 @@ class TestProjection:
                         )
                     trans[(q, letter)] = pb.disj(models)
             a = Apt(alphabet, dirs, nq, 0, trans, {q: rng.randrange(3) for q in range(nq)})
-            assert is_npt(a, DEFAULT_BUDGET)
+            assert is_npt(a)
             p = project(a, ("x",))
             t = random_tree(rng, plain, dirs, max_nodes=2)
             projected = member(p, t)
             witnessed = False
-            for assign in itertools.product("ab", repeat=len(t.nodes)):
+            for assign in itertools.product("ab", repeat=len(t.letters)):
                 letters = {
                     n: ((("x", assign[i]),), t.letter(n)[1])
-                    for i, n in enumerate(t.nodes)
+                    for i, n in enumerate(t.letters)
                 }
                 if member(a, RegularTree(letters, t.children, t.root)):
                     witnessed = True
@@ -234,18 +237,6 @@ class TestProjection:
 
 
 class TestMembershipGame:
-    def test_tree_letter_outside_the_alphabet(self):
-        a = accept_all((0, 1), (0,))
-        tree = RegularTree({0: 0, 1: 2}, {(0, 0): 1, (1, 0): 0}, 0)
-        with pytest.raises(ModelError, match="not in the alphabet"):
-            membership_game(a, tree)
-
-    def test_generator_that_is_not_total(self):
-        a = accept_all((0, 1), (0, 1))
-        tree = RegularTree({0: 0}, {(0, 0): 0}, 0)
-        with pytest.raises(ModelError, match="not total"):
-            membership_game(a, tree)
-
     def test_building_leaves_nothing_to_the_cyclic_collector(self, rng):
         # the game's lists are freed when it is dropped, not at the next
         # collection, so peak memory follows live data

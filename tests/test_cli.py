@@ -8,6 +8,7 @@ Oracle notes:
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -277,6 +278,80 @@ class TestAlphabetBudget:
         assert "strategy names" not in err
         code, _, err = run(capsys, "check", toggle_path, "-f", f, "--budget", "7")
         assert code == 4 and "the alphabet over 2 strategy names has 8 letters" in err
+
+
+class TestHugeGrades:
+    # from the budget's bit length on, two actions give more letters than the
+    # budget, so the exact count, which a huge grade puts out of reach, is
+    # never taken
+    @pytest.mark.parametrize("grade", ["5000", "20000", "1000000000000"])
+    def test_huge_grade_stops_on_the_alphabet_budget(self, capsys, toggle_path, grade):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "check", toggle_path, "-f", f"<<x>>^>={grade} (a0,x) X p")
+        assert time.perf_counter() - started < 5
+        assert code == 4 and not out
+        assert err == (
+            "error: the alphabet over 17 or more strategy names has at least 131072 letters,"
+            " over the budget (100000)\n"
+        )
+
+    @pytest.mark.parametrize("grade", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript"])
+    @pytest.mark.parametrize("command", ["check", "info"])
+    def test_grade_int_refuses_is_a_parse_error(self, capsys, toggle_path, command, grade):
+        code, out, err = run(capsys, command, toggle_path, "-f", f"<<x>>^>={grade} (a0,x) X p")
+        assert code == 2 and not out
+        assert err == "error: grade is too long or not a decimal number (at position 8)\n"
+
+
+class TestBudgetOption:
+    @pytest.mark.parametrize("argv", [
+        ("check", "toggle.json", "-f", "<<x>> (a0,x) X p", "--budget", "0"),
+        ("check", "toggle.json", "-f", "<<x>> (a0,x) X p", "--budget", "-1"),
+        ("oracle", "toggle.json", "-f", "<<x>> (a0,x) X p", "--budget", "-5"),
+        ("oracle-ne", "pennies.json", "--objectives", "pennies_obj.json", "--budget", "0"),
+    ], ids=["check-0", "check-minus-1", "oracle-minus-5", "oracle-ne-0"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, argv):
+        # a budget that admits nothing is a mistyped option, not a resource stop
+        argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: --budget must be at least 1, not {argv[-1]}\n"
+
+
+class TestReachableErrors:
+    @pytest.mark.parametrize("argv, code, err", [
+        (("check", "toggle.json", "-f", "<<x>> (a0,x) X X X X X X X X X p", "--budget", "8"),
+         4, "automaton exceeds state budget (10)"),
+        (("check", "toggle.json", "-f", "<<X>> p"),
+         2, "reserved word 'X' used as variable (at position 2)"),
+        (("check", "toggle.json", "-f", "<<x>>^<1 p"),
+         2, "grade marker '^<' does not match quantifier (at position 5)"),
+        (("info", "--agents", ",", "-f", "p"),
+         2, "agent name set must be nonempty"),
+        (("oracle", "toggle.json", "-f", "<<x,y>> (a0,x) X p", "--budget", "5"),
+         4, "quantifier instantiation over budget"),
+        (("oracle-ne", "pennies.json", "--objectives", "pennies_obj.json", "--budget", "1"),
+         4, "memoryless profile space over budget"),
+    ], ids=["state-budget", "reserved-variable", "grade-marker", "no-agents",
+            "oracle-instantiation", "oracle-ne-profiles"])
+    def test_error_exit_and_message(self, capsys, argv, code, err):
+        argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+        assert run(capsys, *argv) == (code, "", f"error: {err}\n")
+
+    def test_defect_past_the_input_checks_is_an_internal_error(self, capsys, toggle_path, monkeypatch):
+        # the membership game trusts encoding_tree to label the tree from the
+        # automaton's alphabet; a tree that breaks this is a defect, not a
+        # bad model
+        def broken(cgs, assignment):
+            tree = automata.encoding_tree(cgs, assignment)
+            letters = dict(tree.letters)
+            letters[tree.root] = (("x", "no-such-action"), tree.letters[tree.root][1])
+            return automata.RegularTree(letters, tree.children, tree.root)
+
+        monkeypatch.setattr(compiler, "encoding_tree", broken)
+        code, out, err = run(capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p")
+        assert code == 6 and not out
+        assert err.startswith("internal error: ") and len(err.splitlines()) == 1
 
 
 class TestStatsAndStages:

@@ -20,7 +20,6 @@ from gslmc import formula as fm
 from gslmc.cgs import load_cgs, FiniteStrategy
 from gslmc.automata import is_npt
 from gslmc.compiler import check_sentence, check_assignment, compile_formula
-from gslmc.determinize import DEFAULT_BUDGET
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 from gslmc.oracle import oracle_check, EXACT
 
@@ -276,7 +275,7 @@ def test_block_and_single_modes_agree_and_pool():
         assert len(block[1].stages) <= len(single[1].stages)
         # projection trusts alternation removal to return an NPT
         for _, ctx in (block, single):
-            assert all(is_npt(s["npt"], DEFAULT_BUDGET) for s in ctx.stages)
+            assert all(is_npt(s["npt"]) for s in ctx.stages)
         return True
 
     check_property(prop, sentences(FIXTURES))

@@ -242,11 +242,11 @@ class TestBreakpoint:
         for _ in range(120):
             # random_apt draws priorities below max_pr: here 0 and 1
             a = simplify(random_apt(rng, max_states=4, max_pr=2), DEFAULT_BUDGET)
-            if is_npt(a, DEFAULT_BUDGET):
+            if is_npt(a):
                 continue
             bp = simplify(breakpoint_construction(a, DEFAULT_BUDGET), DEFAULT_BUDGET)
             safra = simplify(safra_construction(a, DEFAULT_BUDGET), DEFAULT_BUDGET)
-            assert is_npt(bp, DEFAULT_BUDGET) and nondeterminize(a).n_states == bp.n_states
+            assert is_npt(bp) and nondeterminize(a).n_states == bp.n_states
             sizes.append((bp.n_states, safra.n_states))
             for _ in range(10):
                 t = random_tree(rng, a.alphabet, a.directions)
@@ -324,7 +324,7 @@ class TestNondeterminize:
         for _ in range(30):
             a = random_apt(rng, max_states=4, max_pr=3, alpha=(0, 1), dirs=(0, 1))
             n = nondeterminize(a, budget=300_000)
-            assert is_npt(n, DEFAULT_BUDGET)
+            assert is_npt(n)
             for _ in range(10):
                 t = random_tree(rng, a.alphabet, a.directions)
                 assert member(a, t) == member(n, t)
@@ -332,7 +332,7 @@ class TestNondeterminize:
     def test_npt_input_passes_through_shape(self, rng):
         a = nondeterminize(random_apt(rng), budget=300_000)
         again = nondeterminize(a, budget=300_000)
-        assert is_npt(again, DEFAULT_BUDGET)
+        assert is_npt(again)
         for _ in range(5):
             t = random_tree(rng, a.alphabet, a.directions)
             assert member(a, t) == member(again, t)
@@ -355,7 +355,7 @@ class TestSharedLetters:
         copy = {x: len(a.alphabet) + i for i, x in enumerate(a.alphabet)}
         trans = dict(a.trans)
         for (q, x), f in a.trans.items():
-            trans[(q, copy[x])] = pb.map_atoms(f, lambda m: m)
+            trans[(q, copy[x])] = pb.map_atoms(f, lambda m: m, {})
         return replace(a, alphabet=a.alphabet + tuple(copy.values()), trans=trans), copy
 
     @pytest.mark.parametrize("construction,max_pr", [
@@ -374,7 +374,7 @@ class TestSharedLetters:
         checked = 0
         for _ in range(60):
             a = simplify(random_apt(rng, max_states=4, max_pr=max_pr), DEFAULT_BUDGET)
-            if is_npt(a, DEFAULT_BUDGET):
+            if is_npt(a):
                 continue
             a2, copy = self.doubled(a)
             out = construction(a, DEFAULT_BUDGET)
@@ -493,7 +493,7 @@ GOLDEN_RING_STAGES = {
 def assert_npt_stages(game, sentence, verdict, n_stages):
     holds, ctx = check_sentence(fm.parse_formula(sentence, set(game.agents)), game)
     assert ("HOLDS" if holds else "FAILS") == verdict and len(ctx.stages) == n_stages
-    assert all(is_npt(s["npt"], DEFAULT_BUDGET) for s in ctx.stages)
+    assert all(is_npt(s["npt"]) for s in ctx.stages)
 
 
 class TestGoldenStages:

@@ -1,5 +1,6 @@
 """Every function, class and method in src/gslmc has a caller in src/gslmc,
-and every parameter is read in the body of its function.
+every parameter is read in the body of its function, and every import is of
+the standard library, numpy or the package itself.
 
 A definition counts as used when its name appears as a name or an attribute
 anywhere in the package outside the definition itself, so a function that
@@ -9,6 +10,7 @@ listed below with the reason; tests alone never make a name live.
 
 import ast
 import os
+import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "gslmc")
 
@@ -86,3 +88,21 @@ def test_every_parameter_is_read():
                 if p.arg != "self" and not p.arg.startswith("_") and p.arg not in read:
                     unread.append(f"{fname}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({p.arg})")
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def test_every_import_is_stdlib_numpy_or_the_package():
+    # numpy is the one declared dependency; a module that is merely
+    # installed on the machine running the tests would import here, but not
+    # from a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gslmc"}
+    stray = []
+    for fname, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{fname}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed]
+    assert not stray, "imports outside the stdlib, numpy and gslmc: " + ", ".join(stray)

@@ -15,6 +15,7 @@ from gslmc import formula as fm
 from gslmc.cgs import load_cgs, FiniteStrategy
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 from gslmc.oracle import (
+    DEFAULT_PROFILE_BUDGET,
     EXACT,
     LOWER_BOUND,
     count_ne_memoryless,
@@ -46,19 +47,19 @@ def single():
 class TestEnumeration:
     def test_single_action_collapses_to_one_strategy(self, single):
         # [TRIVIAL] only one action exists, so only one history function
-        assert len(enumerate_strategies(single, memory_bound=2)) == 1
+        assert len(enumerate_strategies(single, 2, DEFAULT_PROFILE_BUDGET, single.initial)) == 1
 
     def test_memoryless_two_state_two_action_count(self, toggle):
         # [TRIVIAL] memoryless over 2 states x 2 actions: 2^2 = 4 functions,
         # and all four compute distinct history functions on the toggle graph
-        strats = enumerate_strategies(toggle, memory_bound=1)
+        strats = enumerate_strategies(toggle, 1, DEFAULT_PROFILE_BUDGET, toggle.initial)
         assert len(strats) == 4
 
     def test_dedup_removes_memory_that_never_matters(self, toggle):
         # memory bound 2 includes machines whose extra state is unreachable
         # or output-equivalent; dedup must keep strictly fewer than the raw
         # table count while covering all 4 memoryless behaviours
-        strats = enumerate_strategies(toggle, memory_bound=2)
+        strats = enumerate_strategies(toggle, 2, DEFAULT_PROFILE_BUDGET, toggle.initial)
         raw_tables = 4 + (2 ** 4) * (2 ** 4)
         assert 4 <= len(strats) < raw_tables
         sigs = {strategy_signature(toggle, s, toggle.initial) for s in strats}
@@ -67,7 +68,7 @@ class TestEnumeration:
     def test_budget_guard(self, rng):
         g = make_cgs(rng, n_states=4, n_agents=1, n_actions=2)
         with pytest.raises(ResourceBudgetError):
-            enumerate_strategies(g, memory_bound=4, budget=10)
+            enumerate_strategies(g, 4, 10, g.initial)
 
 
 class TestConfidence:

@@ -106,9 +106,9 @@ class TestMemoizedWalks:
             assert pb.dual(f, memos["dual"]) == ref_dual(f)
             assert pb.map_atoms(f, merge_states, memos["map"]) == ref_map_atoms(f, merge_states)
             assert pb.atoms(f, memos["atoms"]) == ref_atoms(f)
-            assert pb.dual(f) == ref_dual(f)
-            assert pb.map_atoms(f, merge_states) == ref_map_atoms(f, merge_states)
-            assert pb.atoms(f) == ref_atoms(f)
+            assert pb.dual(f, {}) == ref_dual(f)
+            assert pb.map_atoms(f, merge_states, {}) == ref_map_atoms(f, merge_states)
+            assert pb.atoms(f, {}) == ref_atoms(f)
         # the memos were hit: far fewer entries than nodes walked
         assert 0 < len(memos["map"]) < sum(nodes(f) for f in fs)
 
@@ -118,7 +118,7 @@ class TestMemoizedWalks:
         out = {}
         for f in fs:
             # an equal but freshly built copy must hit the same entry
-            copy = pb.map_atoms(f, lambda m: m)
+            copy = pb.map_atoms(f, lambda m: m, {})
             assert copy == f
             g = pb.map_atoms(copy, merge_states, memo)
             assert out.setdefault(f, g) is g
