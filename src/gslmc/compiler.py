@@ -292,6 +292,17 @@ def _block(block, body, ctx):
                 a = accept_all(ctx.alphabet(outer_names), ctx.cgs.states)
                 coords, names = (), outer_names
                 continue
+            if grade.value >= 2:
+                # the level conjoins grade-many copies of a with a walker per
+                # pair of copies; a huge grade on a small alphabet is stopped
+                # here, before any of them is built
+                g = grade.value
+                size = 1 + g * (g - 1) // 2 + g * a.n_states
+                if size > ctx.budget:
+                    raise ResourceBudgetError(
+                        f"a level of grade {g} would have {size} states,"
+                        f" over the state budget ({ctx.budget})"
+                    )
             # every copy reads the block alphabet: its own renamed
             # coordinates, and the coordinates of variables the body ignores
             # still exist there

@@ -24,9 +24,18 @@ int too, read against the tuple `active` of the states that moved: slice i,
 bits [i * n, (i + 1) * n) for n input states, is the successor set of
 active[i].  The `slots` of active, {1 << active[i]: i * n}, locate the slice
 of each active state.
+
+Of the transition choices of a set of active states, the exploration reads
+only their number, for the work budget, and their distinct edge relations
+in first-use order; both are found per direction from each active state's
+distinct slices, without listing the choices.  The choices themselves, one
+edge relation per direction, are listed only for output transitions, which
+are built from them in posbool's normal form, so a construction stopped on
+the budget never lists them.
 """
 
-from itertools import chain, count
+from itertools import count
+from math import prod
 
 from gslmc import posbool as pb
 from gslmc.automata import Apt, is_npt, simplify
@@ -212,7 +221,8 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     when
       - one choice key, (active states, class id of each one's transition
         on a letter), has more than `budget` transition-choice
-        combinations,
+        combinations, or its edge relations, a slice of n input states
+        per active state, would be wider than 20 * `budget` bits,
       - the work, combinations times directions summed over the explored
         (Safra tree or breakpoint state, letter) pairs, exceeds
         20 * `budget` (letters that share a key are each charged),
@@ -297,12 +307,16 @@ def safra_construction(a, budget):
     steps = {}  # tree id -> {edge id: (successor tree id | None, step priority)}
     frontier = [0]
     post = nbw.post
+    # active states -> {(label, edge id): post of the label}: post reads the
+    # relation through the slots, and they depend only on the active states
+    posts = {}
     while frontier:
         tid = frontier.pop()
         tree = tree_of[tid]
         # the root holds ('i', q) for every active state q
         active = members(tree[1] & nbw.full)
         slot = slots(active, a.n_states)
+        memo = posts.setdefault(active, {})
         shape, labels = safra_sprout(tree, nbw, neutral)
         tchoice = choice[tid] = []
         tsteps = steps[tid] = {}
@@ -317,11 +331,10 @@ def safra_construction(a, budget):
             seen.add(c)
             # edge ids in first-use order, so new trees are found in the
             # order the (combination, direction) scan would meet them
-            for e in build.rows[c][1]:
+            for e in build.choice_of[c][1]:
                 if e in tsteps:
                     continue
-                rel = build.edge_of[e]
-                images = tuple([post(label, rel, slot) for label in labels])
+                images = _label_images(post, labels, e, build.edge_of[e], slot, memo)
                 step = by_images.get(images)
                 if step is None:
                     t2, prio = safra_step(shape, images, neutral)
@@ -357,6 +370,20 @@ def safra_construction(a, budget):
     return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
 
 
+def _label_images(post, labels, e, rel, slot, memo):
+    """The tuple of post(label, rel, slot) over the labels, memoised in
+    memo under (label, e).  Edge id e names the int rel, and post reads it
+    through the slots of the active states, so one memo serves one set of
+    active states."""
+    images = []
+    for label in labels:
+        im = memo.get((label, e))
+        if im is None:
+            im = memo[label, e] = post(label, rel, slot)
+        images.append(im)
+    return tuple(images)
+
+
 def _intern(ids, objs, x):
     """The id of x; a new x gets the next id, its index in objs."""
     i = ids.get(x)
@@ -375,30 +402,40 @@ class _Build:
     transition formula is interned to a class id, and the choices of active
     states on a letter depend only on the key (active states, class id of
     each one's transition on the letter).  Many letters share a key, and so
-    its choice id, its rows and, per output state, its output transition.
-    States are interned from hashable keys to ids in discovery order; a new
-    key is pushed on `todo`.  Edge relations are interned to the ids that the
-    choice rows hold, `edge_of[e]` being relation e.  A relation is read
-    against the active states of the key that built it; one int built for
-    two keys shares an id, and each user reads it against its own key.
+    its choice id and, per output state, its output transition.  A key
+    records its combination count and its edge relations in first-use
+    order, all that the exploration reads; its rows, one edge id per
+    direction for every combination, are built on the first output
+    transition that needs them, and a construction stopped on the budget
+    builds none.  States are interned from hashable keys to ids in discovery
+    order; a new key is pushed on `todo`.  Edge relations are interned to
+    ids, `edge_of[e]` being relation e.  A relation is read against the
+    active states of the key that built it; one int built for two keys
+    shares an id, and each user reads it against its own key.
     """
 
     def __init__(self, a, budget):
         self.a = a
         self.budget = budget
+        # the directions in the order of posbool's conjunctions, the order of
+        # the rows' columns
+        self.dirs = tuple(sorted(a.directions))
         self.classes = {}  # (state, letter) -> class id of its transition
         self.class_ids = {}  # transition formula -> class id
-        self.models = []  # class id -> minimal models of its formula
+        self.models = []  # class id -> minimal models of its formula, by _columns
         self.model_work = [0]  # charged by every minimal_models call
         self.edge_ids = {}
         self.edge_of = []
         self.choice_ids = {}  # (active states, class ids) -> choice id
-        self.rows = []  # choice id -> (combo count, edge ids, rows)
+        # choice id -> (combination count, edge ids in first-use order,
+        # minimal models of each active state's transition, by _columns)
+        self.choice_of = []
+        self.rows = {}  # choice id -> its rows, once an output transition needs them
         self.work = 0
         self.states = {}
         self.todo = []
-        self.conjs = {}  # target per direction -> conjunction of its moves
-        self.disjs = {}  # targets of all choices -> disjunction of their conjunctions
+        self.conjs = {}  # targets in sorted-direction order -> conjunction of their moves
+        self.disjs = {}  # distinct sorted target tuples -> disjunction of their conjunctions
 
     def check_size(self, n):
         if n > self.budget:
@@ -423,24 +460,25 @@ class _Build:
             c = self.class_ids.get(f)
             if c is None:
                 c = self.class_ids[f] = len(self.models)
-                self.models.append(pb.minimal_models(f, self.budget, self.model_work))
+                self.models.append(
+                    _columns(pb.minimal_models(f, self.budget, self.model_work)))
             self.classes[(q, letter)] = c
         return c
 
     def choices(self, active, letter):
-        """The choice id of the active states on the letter, whose
-        `rows[id]` is built once per key (active states, class ids); every
-        call adds the choice count times the directions to the work, so the
+        """The choice id of the active states on the letter; `choice_of[id]`
+        is found once per key (active states, class ids).  Every call adds
+        the combination count times the directions to the work, so the
         budget stops do not depend on the sharing."""
         key = (active, tuple([self.transition_class(q, letter) for q in active]))
         c = self.choice_ids.get(key)
         if c is None:
-            got = _choice_rows(self.a.directions, self.a.n_states,
-                               [self.models[k] for k in key[1]],
-                               self.budget, self.edge_ids, self.edge_of)
-            c = self.choice_ids[key] = len(self.rows)
-            self.rows.append(got)
-        self.work += self.rows[c][0] * len(self.a.directions)
+            per_state = [self.models[k] for k in key[1]]
+            count, edges = _choice_edges(self.a.directions, self.a.n_states, per_state,
+                                         self.budget, self.edge_ids, self.edge_of)
+            c = self.choice_ids[key] = len(self.choice_of)
+            self.choice_of.append((count, edges, per_state))
+        self.work += self.choice_of[c][0] * len(self.a.directions)
         if self.work > 20 * self.budget:
             raise ResourceBudgetError(
                 f"determinization work exceeds the budget ({self.budget})"
@@ -460,73 +498,140 @@ class _Build:
         for letter, c in letter_choices:
             f = out.get(c)
             if f is None:
-                _, used, rows = self.rows[c]
-                f = out[c] = self.formula(rows, {e: target(e) for e in used})
+                _, edges, per_state = self.choice_of[c]
+                rows = self.rows.get(c)
+                if rows is None:
+                    rows = self.rows[c] = _choice_rows(self.dirs, self.a.n_states,
+                                                       per_state, self.edge_ids)
+                f = out[c] = self.formula(rows, {e: target(e) for e in edges})
             trans[(me, letter)] = f
 
     def formula(self, rows, target):
         """The disjunction over rows of the conjunction of the moves
-        (d, target[edge id of d in the row])."""
-        a = self.a
-        tgts = tuple(tuple(map(target.__getitem__, row)) for row in rows)
+        (d, target[edge id of d in the row]), built in posbool's normal
+        form.  A row holds its edge ids in sorted-direction order, and every
+        conjunction moves once along every direction, so conjunctions
+        compare as their target tuples in that order: the disjunction is
+        its distinct target tuples, sorted."""
+        tgts = tuple(sorted({tuple([target[e] for e in row]) for row in rows}))
         f = self.disjs.get(tgts)
         if f is None:
             disjuncts = []
             for tgt in tgts:
                 g = self.conjs.get(tgt)
                 if g is None:
-                    g = self.conjs[tgt] = pb.conj(
-                        [pb.atom((d, q)) for d, q in zip(a.directions, tgt)]
-                    )
+                    g = self.conjs[tgt] = pb.presorted(
+                        "&", [pb.atom(move) for move in zip(self.dirs, tgt)])
                 disjuncts.append(g)
-            f = self.disjs[tgts] = pb.disj(disjuncts)
+            f = self.disjs[tgts] = pb.presorted("|", disjuncts)
         return f
 
 
-def _choice_rows(directions, n, per_state, budget, edge_ids, edge_of):
-    """Transition choices of the active states, as edge relations.
+def _columns(models):
+    """The minimal models of a transition read per direction: (their count,
+    {d: (the successor set of each model along d, {distinct successor set:
+    index of the first model giving it})}) over the directions some model
+    moves along.  Successor sets are bitmasks, state q at bit q."""
+    by_dir = {}
+    for k, m in enumerate(models):
+        for d, q2 in m:
+            by_dir.setdefault(d, [0] * len(models))[k] |= 1 << q2
+    columns = {}
+    for d, parts in by_dir.items():
+        first = {}
+        for k, p in enumerate(parts):
+            first.setdefault(p, k)
+        columns[d] = (parts, first)
+    return len(models), columns
+
+
+def _choice_edges(directions, n, per_state, budget, edge_ids, edge_of):
+    """The transition choices of the active states, counted, and the edge
+    relations they induce.
 
     per_state holds the minimal models of the transition of each active
-    state, active[i] at i.  A choice picks one model per active state; along
-    each direction it induces the edge relation whose slice i, bits
-    [i * n, (i + 1) * n), holds the successors of active[i] in that
-    direction.  Returns (the choice count for the work budget, the distinct
-    edge ids in first-use order over choices then directions, one row per
-    choice holding its edge id per direction).  Choices come in
-    itertools.product order.  New edge relations are interned into
-    edge_ids / edge_of.
+    state, active[i] at i, read per direction by _columns.  A choice picks
+    one model per active state, choices numbered in itertools.product
+    order; along each direction it induces the edge relation whose slice i,
+    bits [i * n, (i + 1) * n), holds the successors of active[i] in that
+    direction, its part.  Returns (the choice count for the work budget,
+    the distinct edge ids in first-use order over choices then directions).
+    New edge relations are interned into edge_ids / edge_of, direction by
+    direction, each in the order of its first choice.
+
+    A part of active[i] lives in slice i, so distinct tuples of parts give
+    distinct relations: per direction, the relations are the product of
+    each state's distinct parts, and a relation is first induced by the
+    choice that takes, for each state, the first model giving its part.  A
+    direction no model moves along has the empty relation, from choice 0.
+    Raises ResourceBudgetError when the choices number more than `budget`,
+    or when a relation, len(per_state) * n bits, would be wider than
+    20 * `budget` bits, the work budget's scale.
     """
     total = 1
-    for m in per_state:
-        total *= max(len(m), 1)
+    for count, _ in per_state:
+        total *= max(count, 1)
         if total > budget:
             raise ResourceBudgetError(
                 f"transition choice combinations exceed the budget ({budget})"
             )
-    if not all(per_state):  # an active state cannot move: no choice
-        return 1, (), []
-    # each model's moves grouped by direction into its state's slice, once
-    by_dir = []
-    for i, qmodels in enumerate(per_state):
-        groups = []
-        for m in qmodels:
-            g = {}
-            for d, q2 in m:
-                g[d] = g.get(d, 0) | 1 << (i * n + q2)
-            groups.append(g)
-        by_dir.append(groups)
-    mentioned = {d for groups in by_dir for g in groups for d in g}
-    # per direction, the relation of every choice, one active state at a time;
-    # a direction no model mentions has the empty relation in every choice
-    per_dir = []
+    if not all(count for count, _ in per_state):  # an active state cannot move: no choice
+        return 1, ()
+    if len(per_state) * n > 20 * budget:
+        raise ResourceBudgetError(f"edge relations exceed the budget ({budget})")
+    # a model index's weight in the choice number: the later states vary fastest
+    strides = []
+    stride = total
+    for count, _ in per_state:
+        stride //= count
+        strides.append(stride)
+    moved = set().union(*[columns for _, columns in per_state])
+    first = {}  # edge id -> (its first choice, direction index there)
+    empty_seen = False
+    for j, d in enumerate(directions):
+        rels = [(0, 0)]  # (relation so far, number of its first choice)
+        if d in moved:
+            for i, ((_, columns), stride) in enumerate(zip(per_state, strides)):
+                column = columns.get(d)
+                if column is not None:  # else every model's part is empty
+                    off = i * n
+                    rels = [(r | p << off, c + k * stride)
+                            for r, c in rels for p, k in column[1].items()]
+        elif empty_seen:  # the empty relation from choice 0, met already
+            continue
+        else:
+            empty_seen = True
+        for r, c in rels:
+            e = _intern(edge_ids, edge_of, r)
+            old = first.get(e)
+            if old is None or c < old[0]:
+                first[e] = (c, j)
+    return total, tuple(sorted(first, key=first.__getitem__))
+
+
+def _choice_rows(directions, n, per_state, edge_ids):
+    """One row per transition choice of the active states (see
+    _choice_edges, which has interned every relation), in itertools.product
+    order, holding the id of the choice's edge relation along each of the
+    directions, in the order given."""
+    total = prod(count for count, _ in per_state)
+    if not total:
+        return []
+    moved = set().union(*[columns for _, columns in per_state])
+    # the column of a direction no model moves along: the empty relation
+    empty = None if moved.issuperset(directions) else [edge_ids[0]] * total
+    columns = []
     for d in directions:
-        if d not in mentioned:
-            per_dir.append([_intern(edge_ids, edge_of, 0)] * total)
+        if d not in moved:
+            columns.append(empty)
             continue
         rels = [0]
-        for groups in by_dir:
-            parts = [g.get(d, 0) for g in groups]
-            rels = [r | p for r in rels for p in parts]
-        per_dir.append([_intern(edge_ids, edge_of, r) for r in rels])
-    rows = list(zip(*per_dir))
-    return total, tuple(dict.fromkeys(chain.from_iterable(rows))), rows
+        for i, (count, state_columns) in enumerate(per_state):
+            column = state_columns.get(d)
+            if column is not None:
+                parts = [p << i * n for p in column[0]]
+                rels = [r | p for r in rels for p in parts]
+            elif count > 1:
+                rels = [r for r in rels for _ in range(count)]
+        columns.append([edge_ids[r] for r in rels])
+    return list(zip(*columns))

@@ -63,6 +63,17 @@ def disj(items):
     return _build("|", items, FALSE, TRUE)
 
 
+def presorted(kind, items):
+    """What conj ('&') or disj ('|') builds from items that are already
+    distinct and sorted, none a constant or of that kind; nothing is
+    checked."""
+    if len(items) == 1:
+        return items[0]
+    if not items:
+        return TRUE if kind == "&" else FALSE
+    return (kind, tuple(items))
+
+
 def dual(f, memo):
     if f == TRUE:
         return FALSE

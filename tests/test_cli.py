@@ -295,6 +295,21 @@ class TestHugeGrades:
             " over the budget (100000)\n"
         )
 
+    # with one action the alphabet stays small, so only the width of the edge
+    # relations (grade 100) and the size of the g-copy level (grade 100000)
+    # stop the check
+    @pytest.mark.parametrize("grade, err", [
+        ("100", "edge relations exceed the budget (100000)"),
+        ("100000", "a level of grade 100000 would have 5000150001 states,"
+                   " over the state budget (100000)"),
+    ])
+    def test_huge_grade_on_one_action_stops_on_the_budget(self, capsys, grade, err):
+        model = os.path.join(DATA, "single.json")
+        started = time.perf_counter()
+        code, out, got = run(capsys, "check", model, "-f", f"<<x>>^>={grade} (a0,x)(a1,x) X p")
+        assert time.perf_counter() - started < 10
+        assert (code, out, got) == (4, "", f"error: {err}\n")
+
     @pytest.mark.parametrize("grade", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript"])
     @pytest.mark.parametrize("command", ["check", "info"])
     def test_grade_int_refuses_is_a_parse_error(self, capsys, toggle_path, command, grade):
@@ -405,6 +420,21 @@ class TestStatsAndStages:
             "stage 3: nondeterminize depth=2 copies=2 in=5 out=8",
         ]
         assert err == "error: determinization work exceeds the budget (100000)\n"
+
+    def test_stats_on_a_choice_stop_report_the_finished_stages(self, capsys):
+        # the F-goal desk3 unique-SPE check stops on the choice count in its
+        # third stage, before its work reaches the budget
+        model = os.path.join(DATA, "desk3.json")
+        code, sentence, _ = run(capsys, "gen", "unique-spe", model,
+                                "--objectives", os.path.join(DATA, "desk3_obj.json"))
+        assert code == 0
+        code, out, err = run(capsys, "check", model, "-f", sentence.strip(), "--stats")
+        assert code == 4
+        assert out.splitlines()[-2:] == [
+            "stage 1: nondeterminize depth=3 copies=2 in=5 out=8",
+            "stage 2: nondeterminize depth=2 copies=2 in=8 out=48",
+        ]
+        assert err == "error: transition choice combinations exceed the budget (100000)\n"
 
     def test_negated_block_pools_through_a_double_negation(self, capsys):
         # !<<x>> !!<<y>> is the negation of one existential block over x, y

@@ -15,12 +15,14 @@ import pytest
 from gslmc import cli, determinize
 from gslmc import formula as fm
 from gslmc import posbool as pb
-from gslmc.automata import is_npt, member, simplify
+from gslmc.automata import Apt, dump_apt, is_npt, member, simplify
 from gslmc.cgs import load_cgs
 from gslmc.compiler import check_sentence
 from gslmc.determinize import (
     DEFAULT_BUDGET,
     BadTraceNbw,
+    _choice_edges,
+    _columns,
     _choice_rows,
     breakpoint_construction,
     breakpoint_step,
@@ -272,12 +274,15 @@ class TestPackedSets:
             priority = {q: rng.randint(0, 5) for q in range(n)}
             active = tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 12)))))
             # each active state's models over two directions; a choice row's
-            # relation per direction, from _choice_rows, is the packed one
+            # relation per direction, interned by _choice_edges and read off
+            # _choice_rows, is the packed one
             per_state = [[frozenset((rng.randrange(2), rng.randrange(n))
                                     for _ in range(rng.randint(0, 4)))
                           for _ in range(rng.randint(1, 2))] for _ in active]
             edge_ids, edge_of = {}, []
-            _, _, rows = _choice_rows((0, 1), n, per_state, DEFAULT_BUDGET, edge_ids, edge_of)
+            columns = [_columns(m) for m in per_state]
+            _choice_edges((0, 1), n, columns, DEFAULT_BUDGET, edge_ids, edge_of)
+            rows = _choice_rows((0, 1), n, columns, edge_ids)
             choices = itertools.product(*per_state)
             for row, picks in zip(rows[:6], choices):
                 for d, e in zip((0, 1), row):
@@ -312,9 +317,108 @@ class TestPackedSets:
         n = 2000
         models = [frozenset([(0, 1999), (1, 0)]), frozenset([(0, 5)])]
         edge_ids, edge_of = {}, []
-        _choice_rows((0, 1), n, [models], DEFAULT_BUDGET, edge_ids, edge_of)
-        assert len(edge_of) == 4
+        _, edges = _choice_edges((0, 1), n, [_columns(models)], DEFAULT_BUDGET, edge_ids, edge_of)
+        assert len(edge_of) == len(edges) == 4
         assert all(rel.bit_length() <= 1 * n for rel in edge_of)
+
+
+def ref_rows(directions, n, per_state):
+    """Per transition choice, in itertools.product order, its relation along
+    each direction: slice i holds the successors of the i-th state's model."""
+    return [tuple(sum(1 << (i * n + q2) for i, m in enumerate(picks) for d2, q2 in m if d2 == d)
+                  for d in directions)
+            for picks in itertools.product(*per_state)]
+
+
+class TestChoicePieces:
+    """A choice key's count and edges, its rows, the output formulas and the
+    memoised label images equal their direct definitions."""
+
+    # not in sorted order, as a ring lists its states
+    DIRECTIONS = ("r2", "r0", "r10", "r1", "r3")
+
+    def random_per_state(self, rng, n):
+        # few distinct successor sets per direction, so parts repeat; empty
+        # models, models that skip a direction, and r3, which no model names
+        moves = [(d, rng.randrange(n)) for d in self.DIRECTIONS[:4] for _ in range(2)]
+        per_state = []
+        for _ in range(rng.randint(1, 3)):
+            pool = [frozenset(rng.sample(moves, rng.randint(0, 3))) for _ in range(3)]
+            per_state.append([rng.choice(pool) for _ in range(rng.randint(1, 4))])
+        if rng.random() < 0.1:
+            per_state.insert(rng.randrange(len(per_state) + 1), [])  # cannot move
+        return per_state
+
+    def test_edges_and_rows_equal_the_product_scan(self):
+        rng = random.Random(57)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            per_state = self.random_per_state(rng, n)
+            columns = [_columns(models) for models in per_state]
+            edge_ids, edge_of = {}, []
+            count, edges = _choice_edges(self.DIRECTIONS, n, columns, DEFAULT_BUDGET,
+                                         edge_ids, edge_of)
+            rows = _choice_rows(sorted(self.DIRECTIONS), n, columns, edge_ids)
+            assert all(edge_ids[rel] == e for e, rel in enumerate(edge_of))
+            if not all(per_state):
+                assert (count, edges, rows) == (1, (), [])
+                continue
+            scan = ref_rows(self.DIRECTIONS, n, per_state)
+            assert count == len(scan)
+            assert [edge_of[e] for e in edges] == list(dict.fromkeys(itertools.chain(*scan)))
+            assert [tuple(edge_of[e] for e in row) for row in rows] == ref_rows(
+                sorted(self.DIRECTIONS), n, per_state)
+
+    def test_relation_width_stops_on_the_budget(self):
+        models = [frozenset([("r0", 0)])]
+        with pytest.raises(ResourceBudgetError, match=r"edge relations exceed the budget \(5\)"):
+            _choice_edges(("r0",), 51, [_columns(models)] * 2, 5, {}, [])
+        assert _choice_edges(("r0",), 50, [_columns(models)] * 2, 5, {}, [])[0] == 1
+
+    @pytest.mark.parametrize("directions", [DIRECTIONS, ("r1",), ("b", "a")])
+    def test_formula_is_the_normalized_disjunction(self, directions):
+        rng = random.Random(63)
+        a = Apt((0,), directions, 1, 0, {(0, 0): pb.TRUE}, {0: 0})
+        build = determinize._Build(a, DEFAULT_BUDGET)
+        for _ in range(300):
+            edges = range(rng.randint(1, 5))
+            target = {e: rng.randrange(4) for e in edges}
+            rows = [tuple(rng.choice(edges) for _ in directions)
+                    for _ in range(rng.randint(0, 6))]
+            want = pb.disj([pb.conj([pb.atom((d, target[e])) for d, e in zip(build.dirs, row)])
+                            for row in rows])
+            assert build.formula(rows, target) == want
+
+    def test_memoised_images_equal_the_direct_ones(self, monkeypatch):
+        rng = random.Random(71)
+        inputs = []
+        while len(inputs) < 25:
+            a = simplify(random_apt(rng, max_states=4, max_pr=3), DEFAULT_BUDGET)
+            if not is_npt(a) and not set(a.priority.values()) <= {0, 1}:
+                inputs.append(a)
+        calls = []
+
+        def counted(a):
+            nbw_post = BadTraceNbw.post
+
+            def post(self, *args):
+                calls[-1] += 1
+                return nbw_post(self, *args)
+
+            monkeypatch.setattr(BadTraceNbw, "post", post)
+            calls.append(0)
+            out = safra_construction(a, DEFAULT_BUDGET)
+            monkeypatch.undo()
+            return dump_apt(out)
+
+        direct = determinize._label_images
+        for a in inputs:
+            memoised = counted(a)
+            monkeypatch.setattr(determinize, "_label_images",
+                                lambda *args: direct(*args[:-1], {}))
+            assert counted(a) == memoised
+            assert calls[-2] <= calls[-1]
+        assert sum(calls[0::2]) < sum(calls[1::2])
 
 
 class TestNondeterminize:
