@@ -6,6 +6,10 @@ are integers 0..n-1; acceptance is a min-parity priority function.
 
 Trees are presented by finite generators (RegularTree): a total transducer
 assigning every node a letter and a child node per direction.
+
+Every composed automaton is built by the one n-ary `join`, in one pass over
+its parts: the boolean operations, the compiler's X and U, and each graded
+level.  `join` is the only code that offsets state numbers.
 """
 
 from collections import deque
@@ -47,47 +51,47 @@ def dualize(a):
     return Apt(a.alphabet, a.directions, a.n_states, a.initial, trans, priority)
 
 
-def join(a, b, fresh, fresh_priority):
-    """a and b side by side, b's states after a's, plus one fresh initial
-    state whose transition on each letter is fresh(letter, fa, fb), where fa
-    and fb are the transitions of a's and b's initial states.  Both read
-    the same alphabet and directions: the compiler lifts every operand to
-    one alphabet over the structure's states."""
-    off = a.n_states
-    new0 = a.n_states + b.n_states
-    trans = dict(a.trans)
+def join(parts, fresh, fresh_priority):
+    """The parts side by side in one pass, each part's states after those
+    of the parts before it, plus one fresh initial state after them all.
+    The first part keeps its state numbers and its transitions as they are.
+    The fresh state's transition on each letter is fresh(letter, firsts, q),
+    where firsts are the parts' initial transitions on that letter, in
+    order, and q is the fresh state's number.  All parts read the same
+    alphabet and directions: the compiler lifts every operand to one
+    alphabet over the structure's states."""
+    first = parts[0]
+    trans = dict(first.trans)
+    priority = dict(first.priority)
+    firsts = {letter: [trans[(first.initial, letter)]] for letter in first.alphabet}
+    off = first.n_states
+    for b in parts[1:]:
 
-    def shift(move):
-        return (move[0], move[1] + off)
+        def shift(move, off=off):
+            return (move[0], move[1] + off)
 
-    memo = {}
-    for (q, letter), f in b.trans.items():
-        trans[(q + off, letter)] = pb.map_atoms(f, shift, memo)
-    for letter in a.alphabet:
-        fb = pb.map_atoms(b.trans[(b.initial, letter)], shift, memo)
-        trans[(new0, letter)] = fresh(letter, a.trans[(a.initial, letter)], fb)
-    priority = dict(a.priority)
-    for q, p in b.priority.items():
-        priority[q + off] = p
-    priority[new0] = fresh_priority
-    return Apt(a.alphabet, a.directions, new0 + 1, new0, trans, priority)
+        memo = {}
+        for (q, letter), f in b.trans.items():
+            trans[(q + off, letter)] = pb.map_atoms(f, shift, memo)
+        for letter, fs in firsts.items():
+            fs.append(trans[(b.initial + off, letter)])
+        for q, p in b.priority.items():
+            priority[q + off] = p
+        off += b.n_states
+    for letter, fs in firsts.items():
+        trans[(off, letter)] = fresh(letter, fs, off)
+    priority[off] = fresh_priority
+    return Apt(first.alphabet, first.directions, off + 1, off, trans, priority)
 
 
-def conjoin(a, b):
+def conjoin(parts):
     """Language intersection via a fresh initial state."""
-    return join(a, b, lambda _letter, fa, fb: pb.conj([fa, fb]), a.priority[a.initial])
+    return join(parts, lambda _letter, fs, _q: pb.conj(fs), parts[0].priority[parts[0].initial])
 
 
-def disjoin(a, b):
+def disjoin(parts):
     """Language union via a fresh initial state."""
-    return join(a, b, lambda _letter, fa, fb: pb.disj([fa, fb]), a.priority[a.initial])
-
-
-def conjoin_all(automata):
-    out = automata[0]
-    for a in automata[1:]:
-        out = conjoin(a, out)
-    return out
+    return join(parts, lambda _letter, fs, _q: pb.disj(fs), parts[0].priority[parts[0].initial])
 
 
 def relabel(a, new_alphabet, h):

@@ -10,6 +10,7 @@ checker, never a verdict).
 import argparse
 import json
 import os
+import re
 import sys
 
 from gslmc import formula as fm
@@ -108,10 +109,9 @@ def _check_machine(name, machine, cgs):
 
 
 def _mem(v):
-    """Memory states written as integers stay integers."""
-    if isinstance(v, int):
-        return v
-    return int(v) if isinstance(v, str) and v.lstrip("-").isdigit() else v
+    """A memory state written as an ASCII integer, such as "3" or "-1", is
+    that integer; any other string is a name."""
+    return int(v) if isinstance(v, str) and re.fullmatch("-?[0-9]+", v) else v
 
 
 def _print_stats(f, ctx):

@@ -11,6 +11,8 @@ structure's unwinding.
 Graded quantifier blocks are eliminated by conjoining renamed copies of the
 body automaton with a pairwise-distinctness automaton, removing alternation
 once per block, and projecting the copy coordinates away existentially.
+Every composition goes through automata.join, built in one pass: a
+disjunction, X, U and each graded level, whose copies are joined at once.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +24,6 @@ from gslmc.automata import (
     accept_all,
     assignment_alphabet,
     conjoin,
-    conjoin_all,
     disjoin,
     distinctness_apt,
     dualize,
@@ -197,7 +198,7 @@ def _or(left, right, ctx):
     a, na = _compile(left, ctx)
     b, nb = _compile(right, ctx)
     names = na | nb
-    return disjoin(_lift(a, na, names, ctx), _lift(b, nb, names, ctx)), names
+    return disjoin([_lift(a, na, names, ctx), _lift(b, nb, names, ctx)]), names
 
 
 def _play_direction(ctx, names):
@@ -218,15 +219,12 @@ def _next(sub, ctx):
     a, na = _compile(sub, ctx)
     names = na | frozenset(ctx.cgs.agents)
     a = _lift(a, na, names, ctx)
-    alpha = ctx.alphabet(names)
     direction = _play_direction(ctx, names)
-    init = a.n_states
-    trans = dict(a.trans)
-    for letter in alpha:
-        trans[(init, letter)] = pb.atom((direction(letter), a.initial))
-    priority = dict(a.priority)
-    priority[init] = 0
-    return Apt(alpha, a.directions, a.n_states + 1, init, trans, priority), names
+
+    def fresh(letter, _firsts, _q):
+        return pb.atom((direction(letter), a.initial))  # join keeps a's numbers
+
+    return join([a], fresh, 0), names
 
 
 def _until(left, right, ctx):
@@ -235,14 +233,13 @@ def _until(left, right, ctx):
     names = na | nb | frozenset(ctx.cgs.agents)
     a = _lift(a, na, names, ctx)
     b = _lift(b, nb, names, ctx)
-    pend = a.n_states + b.n_states  # the fresh state join adds
     direction = _play_direction(ctx, names)
 
-    def fresh(letter, fa, fb):
-        hold = pb.conj([fa, pb.atom((direction(letter), pend))])
-        return pb.disj([fb, hold])
+    def fresh(letter, firsts, pend):
+        fa, fb = firsts
+        return pb.disj([fb, pb.conj([fa, pb.atom((direction(letter), pend))])])
 
-    return join(a, b, fresh, 1), names  # waiting forever is losing
+    return join([a, b], fresh, 1), names  # waiting forever is losing
 
 
 def _bind(f, ctx):
@@ -286,17 +283,17 @@ def _block(block, body, ctx):
 
         coords = ()
         for _k, vars_, grade in reversed(block):
+            g = grade.value
             outer_names = names - frozenset(vars_)
-            if grade.value == 0:
+            if g == 0:
                 # "at least zero witnesses" holds vacuously
                 a = accept_all(ctx.alphabet(outer_names), ctx.cgs.states)
                 coords, names = (), outer_names
                 continue
-            if grade.value >= 2:
+            if g >= 2:
                 # the level conjoins grade-many copies of a with a walker per
                 # pair of copies; a huge grade on a small alphabet is stopped
                 # here, before any of them is built
-                g = grade.value
                 size = 1 + g * (g - 1) // 2 + g * a.n_states
                 if size > ctx.budget:
                     raise ResourceBudgetError(
@@ -310,19 +307,22 @@ def _block(block, body, ctx):
             sources = []
             all_coords = []
             grid = []
-            for j in range(1, grade.value + 1):
+            for j in range(1, g + 1):
                 ren = {x: _copy_name(x, j) for x in (*vars_, *coords)}
                 sources.append({x: ren.get(x, x) for x in read})
                 all_coords.extend(sorted(ren.values()))
                 grid.append(tuple(ren[v] for v in sorted(vars_)))
 
             big_names = outer_names | frozenset(all_coords)
-            a = conjoin_all([_rename(a, src, big_names, ctx) for src in sources])
-            if grade.value >= 2:
-                a = conjoin(a, distinctness_apt(
-                    tuple(grid), ctx.alphabet(big_names), ctx.cgs.states,
-                    lambda letter: ctx.cgs.successors(letter[1]),
-                ))
+            if g == 1:
+                a = _rename(a, sources[0], big_names, ctx)
+            else:
+                # the copies last to first, then the walkers, in one join;
+                # the list of copies is freed with the call, before simplify
+                a = conjoin([_rename(a, src, big_names, ctx) for src in reversed(sources)] + [
+                    distinctness_apt(tuple(grid), ctx.alphabet(big_names), ctx.cgs.states,
+                                     lambda letter: ctx.cgs.successors(letter[1]))
+                ])
             a = simplify(a, budget=ctx.budget)
             coords, names = tuple(all_coords), outer_names
         npt = ctx.remove_alternation(a, sum(g.value for (_k, _v, g) in block))

@@ -26,10 +26,13 @@ def enumerate_strategies(cgs, memory_bound, budget, start):
     one per history function they compute from the state start.  Only
     machines with exactly memory_bound states are built: one with fewer is
     such a machine whose extra states are unreachable."""
+    count = 1  # (memory_bound * |actions|) ** |cells|, one factor at a time
+    for _ in range(memory_bound * len(cgs.states)):
+        count *= memory_bound * len(cgs.actions)
+        if count > budget:
+            raise ResourceBudgetError(f"strategy space too large for memory bound {memory_bound}")
     memory = tuple(range(memory_bound))
     cells = [(m, q) for m in memory for q in cgs.states]
-    if (memory_bound * len(cgs.actions)) ** len(cells) > budget:
-        raise ResourceBudgetError(f"strategy space too large for memory bound {memory_bound}")
     out = []
     seen = set()
     for upd in product(memory, repeat=len(cells)):

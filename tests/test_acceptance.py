@@ -241,6 +241,11 @@ def _cli(capsys, *argv):
     return code, out.out
 
 
+def _json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def test_criterion_5_solution_concepts(capsys):
     """Equilibrium uniqueness and strategy counting against the profile
     enumerator; the exactly-two-winning-strategies display by construction."""
@@ -253,8 +258,8 @@ def test_criterion_5_solution_concepts(capsys):
     assert code == 0
     code, out2 = _cli(capsys, "check", single, "-f", out.strip())
     assert code == 0 and "HOLDS" in out2
-    g = load_cgs(json.load(open(single)))
-    objs = load_objectives(json.load(open(single_obj)), g)
+    g = load_cgs(_json(single))
+    objs = load_objectives(_json(single_obj), g)
     assert count_ne_memoryless(g, objs) == 1
 
     # crafted 2-action instances where memoryless profiles decide the
@@ -270,8 +275,8 @@ def test_criterion_5_solution_concepts(capsys):
         assert code == 0
         code, out2 = _cli(capsys, "check", model, "-f", out.strip())
         assert code in (0, 1)
-        g = load_cgs(json.load(open(model)))
-        objs = load_objectives(json.load(open(objp)), g)
+        g = load_cgs(_json(model))
+        objs = load_objectives(_json(objp), g)
         count = count_ne_memoryless(g, objs)
         assert (code == 0) == (count == 1), (model_name, count)
 

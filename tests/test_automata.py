@@ -66,13 +66,33 @@ class TestBooleanOperations:
                 assert member(a, t) != member(dualize(a), t)
 
     def test_conjoin_disjoin_membership(self, rng):
-        for _ in range(30):
-            a = random_apt(rng)
-            b = random_apt(rng)
-            t = random_tree(rng, a.alphabet, a.directions)
-            ma, mb = member(a, t), member(b, t)
-            assert member(conjoin(a, b), t) == (ma and mb)
-            assert member(disjoin(a, b), t) == (ma or mb)
+        for _ in range(40):
+            parts = [random_apt(rng) for _ in range(rng.randint(1, 4))]
+            t = random_tree(rng, parts[0].alphabet, parts[0].directions)
+            ms = [member(a, t) for a in parts]
+            assert member(conjoin(parts), t) == all(ms)
+            assert member(disjoin(parts), t) == any(ms)
+
+    def test_conjoin_walks_each_copy_once(self, monkeypatch):
+        # a fold of two-part joins re-walks every transition built so far,
+        # quadratic in k; the n-ary join walks each copy once
+        calls = [0]
+        map_atoms = pb.map_atoms
+
+        def counted(f, fn, memo):
+            calls[0] += 1
+            return map_atoms(f, fn, memo)
+
+        monkeypatch.setattr(pb, "map_atoms", counted)
+        rng = random.Random(7)
+        a = random_apt(rng, max_states=4)
+
+        def walks(k):
+            calls[0] = 0
+            conjoin([a] * k)
+            return calls[0]
+
+        assert walks(40) <= 2.2 * walks(20)
 
     def test_accept_and_reject_all(self, rng):
         acc = accept_all((0, 1), (0, 1))
@@ -84,7 +104,7 @@ class TestBooleanOperations:
     @pytest.mark.parametrize("op", [conjoin, disjoin])
     def test_combining_reads_letters_in_any_order(self, op):
         a = accept_all((0, 1), (0, 1))
-        assert op(a, accept_all((1, 0), (1, 0))).n_states == 3
+        assert op([a, accept_all((1, 0), (1, 0))]).n_states == 3
 
     def test_relabel_reads_through_mapping(self, rng):
         a = random_apt(rng, alpha=(0, 1))

@@ -7,6 +7,7 @@ Oracle notes:
 
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -310,6 +311,18 @@ class TestHugeGrades:
         assert time.perf_counter() - started < 10
         assert (code, out, got) == (4, "", f"error: {err}\n")
 
+    def test_huge_memory_bound_stops_on_the_budget(self):
+        # the strategy count (M * |actions|) ** (M * |states|) is never
+        # computed whole: it is a bignum of millions of digits at M = 2000000
+        argv = ["oracle", os.path.join(DATA, "toggle.json"), "-f", "<<x>> (a0,x) X p",
+                "--memory", "2000000"]
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        done = subprocess.run([sys.executable, "-m", "gslmc", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            4, "", "error: strategy space too large for memory bound 2000000\n"
+        )
+
     @pytest.mark.parametrize("grade", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript"])
     @pytest.mark.parametrize("command", ["check", "info"])
     def test_grade_int_refuses_is_a_parse_error(self, capsys, toggle_path, command, grade):
@@ -482,6 +495,23 @@ class TestAssign:
             capsys, "check", toggle_path, "-f", "(a0,x) X p", "--assign", str(p)
         )
         assert code == 0 and "HOLDS" in out
+
+    @pytest.mark.parametrize("name", ["--5", "\u00b2", "-1", "m0"])
+    def test_memory_names_that_are_not_ascii_integers_stay_names(
+        self, capsys, toggle_path, tmp_path, name
+    ):
+        machine = {
+            "memory": [name],
+            "init": name,
+            "update": {f"{name},s0": name, f"{name},s1": name},
+            "output": {f"{name},s0": "a", f"{name},s1": "a"},
+        }
+        p = tmp_path / "assign.json"
+        p.write_text(json.dumps({"x": machine}))
+        code, out, err = run(
+            capsys, "check", toggle_path, "-f", "(a0,x) X p", "--assign", str(p)
+        )
+        assert (code, out.strip(), err) == (0, "HOLDS", "")
 
     @pytest.mark.parametrize("cmd", ["check", "oracle"])
     @pytest.mark.parametrize(
