@@ -149,15 +149,20 @@ def cmd_check(args):
             holds, ctx = check_assignment(f, cgs, assignment, budget=args.budget)
     except ResourceBudgetError as e:
         # a stop reports the stages that finished before it
-        if args.stats and e.context is not None:
-            _print_stats(f, e.context)
+        if e.context is not None:
+            _report_stages(args, f, e.context)
         raise
+    _report_stages(args, f, ctx)
+    print("HOLDS" if holds else "FAILS")
+    return EXIT_HOLDS if holds else EXIT_FAILS
+
+
+def _report_stages(args, f, ctx):
+    """The --stats lines and the --emit-stage files of the finished stages."""
     if args.stats:
         _print_stats(f, ctx)
     if args.emit_stage:
         _emit_stages(ctx, args.emit_stage)
-    print("HOLDS" if holds else "FAILS")
-    return EXIT_HOLDS if holds else EXIT_FAILS
 
 
 def _emit_stages(ctx, directory):
@@ -213,12 +218,7 @@ def _gen_formula(kind, cgs, objectives, k):
     xvars = [f"x{i+1}" for i in range(n)]
     yvars = [f"y{i+1}" for i in range(n)]
     zvars = [f"z{i+1}" for i in range(n)]
-    single_goal = all(len(o.goals) == 1 for o in objectives.values())
-    if sol.is_win_lose(objectives) and single_goal:
-        goals = [objectives[a].goals[0] for a in agents]
-        ne = sol.ne_formula_winlose(agents, xvars, yvars, goals)
-    else:
-        ne = sol.ne_formula_general(agents, xvars, yvars, objectives)
+    ne = sol.ne_formula_general(agents, xvars, yvars, objectives)
     if kind == "ne":
         return ne
     if kind == "unique-ne":

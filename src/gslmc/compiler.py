@@ -4,9 +4,10 @@ A formula with free placeholders V is compiled, against a fixed game
 structure, into an automaton over (valuation, state)-labeled trees whose
 directions are the game states: the tree encodes an assignment of finite
 strategies to the names in V, and the automaton accepts exactly the
-encodings of satisfying assignments.  Checking a sentence is then a single
-membership test of the encoding of the empty assignment, which is the
-structure's unwinding.
+encodings of satisfying assignments.  A check decides the top-level !
+and || of the formula itself, left to right with short circuit, and each
+other part by one membership test of the encoding of the assignment to the
+names it reads; for a sentence that is the structure's unwinding.
 
 Graded quantifier blocks are eliminated by conjoining renamed copies of the
 body automaton with a pairwise-distinctness automaton, removing alternation
@@ -99,44 +100,54 @@ class CompilationContext:
         return max((s["depth"] for s in self.stages), default=0)
 
 
-def compile_formula(f, cgs, mode="block", budget=DEFAULT_BUDGET):
-    """Compile f against cgs; returns (automaton, free names, context).
+def compile_formula(f, ctx):
+    """Compile f in ctx; returns (automaton, names read).
 
     The automaton reads (valuation, state) letters where the valuation
-    covers exactly the returned free names.
+    covers exactly the returned names.  A budget stop carries ctx, so the
+    stages that finished before it can be reported.
     """
-    if not fm.grades_all_finite(f):
-        raise UnsupportedGradeError("only finite grades can be model checked")
-    ctx = CompilationContext(cgs, mode=mode, budget=budget)
     try:
-        apt, names = _compile(f, ctx)
+        return _compile(f, ctx)
     except ResourceBudgetError as e:
         e.context = ctx
         raise
-    return apt, names, ctx
 
 
 def check_sentence(f, cgs, mode="block", budget=DEFAULT_BUDGET):
-    """Does the sentence f hold at the initial state of cgs?
-
-    Checked on the encoding tree of the empty assignment; f is compiled here,
-    not through check_assignment, which would add a frame to the recursion.
-    """
+    """Does the sentence f hold at the initial state of cgs?"""
     if not fm.is_sentence(f, set(cgs.agents)):
         raise ModelError("formula is not a sentence over the structure's agents")
-    apt, names, ctx = compile_formula(f, cgs, mode=mode, budget=budget)
-    assert not names
-    return member(apt, encoding_tree(cgs, {})), ctx
+    return check_assignment(f, cgs, {}, mode=mode, budget=budget)
 
 
 def check_assignment(f, cgs, assignment, mode="block", budget=DEFAULT_BUDGET):
-    """Does f hold under the given name -> FiniteStrategy assignment?"""
-    apt, names, ctx = compile_formula(f, cgs, mode=mode, budget=budget)
-    missing = set(names) - set(assignment)
+    """Does f hold under the given name -> FiniteStrategy assignment?
+
+    Returns (verdict, context); the context lists the stages of the parts
+    that were evaluated.
+    """
+    if not fm.grades_all_finite(f):
+        raise UnsupportedGradeError("only finite grades can be model checked")
+    missing = fm.free_placeholders(f, set(cgs.agents)) - set(assignment)
     if missing:
         raise ModelError(f"assignment misses free names: {sorted(missing)}")
-    tree = encoding_tree(cgs, {x: assignment[x] for x in names})
-    return member(apt, tree), ctx
+    ctx = CompilationContext(cgs, mode=mode, budget=budget)
+    return _holds(f, ctx, assignment), ctx
+
+
+def _holds(f, ctx, assignment):
+    """Top-level ! and || are decided here, left to right with short circuit,
+    so a part that is skipped is never compiled; every other part is
+    compiled and checked on the encoding tree of the names it reads.  A
+    module-level function, not a closure, so a check's stages are freed when
+    it returns."""
+    if isinstance(f, fm.Not):
+        return not _holds(f.sub, ctx, assignment)
+    if isinstance(f, fm.Or):
+        return _holds(f.left, ctx, assignment) or _holds(f.right, ctx, assignment)
+    apt, names = compile_formula(f, ctx)
+    return member(apt, encoding_tree(ctx.cgs, {x: assignment[x] for x in names}))
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +255,13 @@ def _until(left, right, ctx):
 
 def _bind(f, ctx):
     a, na = _compile(f.sub, ctx)
-    # the agent now reads the variable; a redundant binding still makes the
-    # variable readable
+    if f.agent not in na:
+        # a body that does not read the agent does not read the variable
+        # either, as fm.free_placeholders has it
+        return a, na
+    # the agent now reads the variable
     source = {x: (f.var if x == f.agent else x) for x in na}
-    names = frozenset(source.values()) | frozenset([f.var])
+    names = frozenset(source.values())
     return _rename(a, source, names, ctx), names
 
 

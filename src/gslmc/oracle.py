@@ -249,7 +249,8 @@ class _Evaluator:
             return self._until(kids, q, env)
         if isinstance(f, fm.Bind):
             env2 = dict(env)
-            env2[f.agent] = env2[f.var]
+            if f.var in env2:  # else the binding is vacuous: the body does not read the agent
+                env2[f.agent] = env2[f.var]
             return self.eval(kids[0], q, _freeze(env2))
         if isinstance(f, fm.ExistsGraded):
             return self.count_witnesses(i, q, env, stop_at=f.grade.value)

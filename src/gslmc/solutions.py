@@ -71,11 +71,6 @@ def load_objectives(doc, cgs):
     return out
 
 
-def is_win_lose(objectives):
-    """Every payoff is -1 or 1."""
-    return all(v in (-1, 1) for obj in objectives.values() for v in obj.payoff.values())
-
-
 # ---------------------------------------------------------------------------
 # formula builders
 
@@ -107,20 +102,6 @@ def _forall_each(variables, body):
     for v in reversed(variables):
         out = fm.forall_graded((v,), fm.finite(1), out)
     return out
-
-
-def ne_formula_winlose(agents, xvars, yvars, goals):
-    """x̄ is an equilibrium when each agent has a single win/lose goal:
-    any unilateral deviation that wins implies the profile wins too."""
-    n = len(agents)
-    conj = []
-    for i in range(n):
-        devs = list(xvars)
-        devs[i] = yvars[i]
-        lhs = bind_all(agents, devs, goals[i])
-        rhs = bind_all(agents, xvars, goals[i])
-        conj.append(fm.f_implies(lhs, rhs))
-    return _forall_each(list(yvars), fm.big_and(conj))
 
 
 def ne_formula_general(agents, xvars, yvars, objectives):

@@ -43,6 +43,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def gen_sentence(capsys, kind, objectives):
+    """(model path, `gen` sentence) of the kind on the model the objectives
+    file is named after."""
+    model = os.path.join(DATA, objectives.split("_")[0] + ".json")
+    code, sentence, _ = run(capsys, "gen", kind, model,
+                            "--objectives", os.path.join(DATA, objectives + ".json"))
+    assert code == 0
+    return model, sentence.strip()
+
+
 class TestCheckExitCodes:
     def test_holds_is_zero(self, capsys, toggle_path):
         code, out, _ = run(capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p")
@@ -87,6 +97,17 @@ class TestCheckExitCodes:
         code, out, err = run(capsys, command, toggle_path, "--assign", str(p),
                              "-f", "(a0,x) X (a0,y) X p")
         assert code == 3 and not out and err.startswith("error:")
+
+    @pytest.mark.parametrize("command, text, code, line", [
+        ("check", "(a0,x) p", 1, "FAILS"),
+        ("check", "<<x>> (a0,y)(a0,x) X p", 0, "HOLDS"),
+        ("oracle", "(a0,x) p", 1, "verdict: false"),
+    ])
+    def test_a_vacuous_binding_binds_nothing(self, capsys, toggle_path, command, text, code, line):
+        # the body under (a0,v) does not read a0, so v stays unread and the
+        # formula is a sentence
+        got, out, err = run(capsys, command, toggle_path, "-f", text)
+        assert (got, out.splitlines()[0], err) == (code, line, "")
 
     def test_model_error_is_three(self, capsys, tmp_path):
         bad = json.loads(json.dumps(TOGGLE))
@@ -434,6 +455,31 @@ class TestStatsAndStages:
         ]
         assert err == "error: determinization work exceeds the budget (100000)\n"
 
+    def test_emit_stage_on_a_budget_stop_writes_the_finished_stages(self, capsys, tmp_path):
+        # the same stop as above: its three finished stages are written, and
+        # the "at least two" part's inner block repeats the first stage
+        model, sentence = gen_sentence(capsys, "unique-ne", "desk3_obj")
+        d = tmp_path / "stages"
+        code, out, _ = run(capsys, "check", model, "-f", sentence, "--emit-stage", str(d))
+        assert code == 4 and not out
+        assert sorted(os.listdir(d)) == [
+            f"stage{i:02d}_{kind}.txt" for i in (1, 2, 3) for kind in ("apt", "npt")
+        ]
+        for kind in ("apt", "npt"):
+            assert (d / f"stage03_{kind}.txt").read_bytes() == (d / f"stage01_{kind}.txt").read_bytes()
+
+    def test_a_short_circuit_skips_the_part_it_does_not_need(self, capsys, toggle_path):
+        # !p holds at the initial state, so the quantified part is never
+        # compiled and no alternation is removed
+        code, out, _ = run(capsys, "check", toggle_path, "-f", "!p || <<x>>^>=2 (a0,x) F p",
+                           "--stats")
+        assert code == 0 and out.splitlines() == [
+            "quantifier-rank: 1",
+            "quantifier-block-rank: 1",
+            "nondeterminization-stages: 0",
+            "HOLDS",
+        ]
+
     def test_stats_on_a_choice_stop_report_the_finished_stages(self, capsys):
         # the F-goal desk3 unique-SPE check stops on the choice count in its
         # third stage, before its work reaches the budget
@@ -579,7 +625,46 @@ class TestInfo:
         assert "sentence: no" in out
 
 
+# every `gen` sentence on every fixture model at the default budget:
+# (objectives file, kind) -> (exit code, stage lines of --stats, verdict or
+# stop message).  A uniqueness or counting sentence is "at least g and not
+# at least g + 1"; when its first part fails, the second is never compiled.
+# The single unique-SPE check is left out: it stops on the budget only after
+# about a minute and a gigabyte.
+GEN_SENTENCES = {
+    ("desk3_obj", "unique-ne"): (4, 3, "error: determinization work exceeds the budget (100000)"),
+    ("desk3_obj", "unique-spe"):
+        (4, 2, "error: transition choice combinations exceed the budget (100000)"),
+    ("desk3_obj", "winning-count"): (1, 2, "FAILS"),
+    ("desk3_next_obj", "unique-ne"): (1, 4, "FAILS"),
+    ("desk3_next_obj", "unique-spe"):
+        (4, 2, "error: determinization work exceeds the budget (100000)"),
+    ("desk3_next_obj", "winning-count"): (1, 2, "FAILS"),
+    ("pennies_obj", "unique-ne"): (1, 2, "FAILS"),
+    ("pennies_obj", "unique-spe"): (4, 2, "error: determinization work exceeds the budget (100000)"),
+    ("pennies_obj", "winning-count"): (1, 2, "FAILS"),
+    ("single_obj", "unique-ne"): (0, 4, "HOLDS"),
+    ("single_obj", "winning-count"): (1, 2, "FAILS"),
+}
+
+
 class TestGen:
+    @pytest.mark.parametrize("objectives, kind", sorted(GEN_SENTENCES))
+    def test_every_gen_sentence_on_the_fixtures(self, capsys, objectives, kind):
+        model, sentence = gen_sentence(capsys, kind, objectives)
+        code, out, err = run(capsys, "check", model, "-f", sentence, "--stats")
+        stages = sum(line.startswith("stage ") for line in out.splitlines())
+        assert (code, stages, (out + err).splitlines()[-1]) == GEN_SENTENCES[(objectives, kind)]
+
+    @pytest.mark.parametrize("objectives", ["desk3_next_obj", "desk3_obj", "pennies_obj"])
+    def test_winning_count_fails_as_the_oracle_finds(self, capsys, objectives):
+        # "at least 2" fails, so the grade-3 part, which once stopped on the
+        # budget, is skipped; the oracle's lower bound agrees
+        model, sentence = gen_sentence(capsys, "winning-count", objectives)
+        for memory in ("1", "2"):
+            code, out, _ = run(capsys, "oracle", model, "-f", sentence, "--memory", memory)
+            assert code == 1 and "verdict: false" in out, memory
+
     def test_gen_output_reparses_and_checks(self, capsys, single_path, tmp_path):
         obj = {
             "agents": {
@@ -620,8 +705,8 @@ class TestGen:
         assert code == 0 and ">=2" in out and ">=3" in out
 
     def test_general_payoffs_give_the_win_lose_sentence_when_they_agree(self, capsys, tmp_path):
-        # payoffs 2/0 are not win/lose, so gen takes the general payoff form;
-        # with one goal per agent that form is the win/lose implication
+        # the NE sentence reads only the order of the payoffs, so 2/0 gives
+        # the same sentence as win/lose 1/-1
         model = os.path.join(DATA, "desk3.json")
         obj = {"agents": {a: {"goals": ["X p"], "payoff": {"1": 2, "0": 0}}
                           for a in ("a0", "a1")}}
@@ -642,12 +727,8 @@ class TestGen:
         )
         assert code == 0 and out.strip() == "memoryless-ne: 0"
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="gen takes the win/lose NE form, which assumes each agent wins when its goal"
-        " holds; in pennies_obj.json a1 wins when X p fails (ROADMAP item 5)",
-    )
     def test_pennies_ne_sentence_fails(self, capsys):
+        # in pennies_obj.json a1 wins when X p fails
         model = os.path.join(DATA, "pennies.json")
         code, ne, _ = run(
             capsys, "gen", "ne", model, "--objectives", os.path.join(DATA, "pennies_obj.json")

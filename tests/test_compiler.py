@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from gslmc import formula as fm
 from gslmc.cgs import load_cgs, FiniteStrategy
 from gslmc.automata import is_npt
-from gslmc.compiler import check_sentence, check_assignment, compile_formula
+from gslmc.compiler import check_sentence, check_assignment
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 from gslmc.oracle import oracle_check, EXACT
 
@@ -122,20 +122,20 @@ class TestModesAndStages:
 
     def test_pooled_block_removes_alternation_once(self, toggle):
         f = parse("<<x,y>>^>=1 ((a0,x) X p || (a0,y) X !p)", toggle.agents)
-        _, _, ctx = compile_formula(f, toggle, mode="block")
+        _, ctx = check_sentence(f, toggle, mode="block")
         assert len(ctx.stages) == 1
         assert ctx.stage_count() == 1
 
     def test_nested_blocks_count_by_depth(self, single):
         # existential block around a universal block: two nested removals
         f = parse("<<x>>^>=1 [[y]]^<1 ((a0,x)(a1,y) X p)", single.agents)
-        _, _, ctx = compile_formula(f, single, mode="block")
+        _, ctx = check_sentence(f, single, mode="block")
         assert ctx.stage_count() == 2
 
     def test_infinite_grade_rejected(self, toggle):
         f = parse("<<x>>^>=aleph0 (a0,x) X p", toggle.agents)
         with pytest.raises(UnsupportedGradeError):
-            compile_formula(f, toggle)
+            check_sentence(f, toggle)
 
 
 class TestPipelineAgainstOracle:
@@ -282,8 +282,12 @@ def test_block_and_single_modes_agree_and_pool():
 
 
 def test_negation_complements_the_verdict():
+    # a top-level ! is decided by the checker itself, so the negation is put
+    # under a binding of a fresh variable, where it is compiled: the binding
+    # is vacuous, since the sentence !f does not read the agent
     def prop(g, f):
-        pos, neg = (check_within_budget(g, h, "block") for h in (f, fm.Not(f)))
+        neg = fm.Bind(g.agents[0], "z", fm.Not(f))
+        pos, neg = (check_within_budget(g, h, "block") for h in (f, neg))
         if pos is None or neg is None:
             return False
         assert neg[0] == (not pos[0])
@@ -292,18 +296,34 @@ def test_negation_complements_the_verdict():
     check_property(prop, sentences(FIXTURES))
 
 
-def test_single_action_models_agree_with_the_oracle():
-    # with one action the oracle's memory-1 enumeration is exact
-    def prop(g, f):
-        got = check_within_budget(g, f, "block")
-        if got is None:
-            return False
-        res = oracle_check(g, f)
-        assert res.confidence == EXACT
-        assert got[0] == res.verdict
-        return True
+@st.composite
+def boolean_combinations(draw, models):
+    """(model, text of a !, && and || combination of two sentences over it)."""
+    g = draw(models)
+    a, b = (formula_text(draw, g.agents, 3, [], kinds=["quantifier"]) for _ in range(2))
+    neg = st.sampled_from(["", "!"])
+    op = draw(st.sampled_from(["&&", "||"]))
+    return g, f"{draw(neg)}({draw(neg)}({a}) {op} {draw(neg)}({b}))"
 
-    check_property(prop, sentences(SINGLE_ACTION_MODELS))
+
+def agrees_with_the_exact_oracle(g, f):
+    # with one action the oracle's memory-1 enumeration is exact
+    got = check_within_budget(g, f, "block")
+    if got is None:
+        return False
+    res = oracle_check(g, f)
+    assert res.confidence == EXACT
+    assert got[0] == res.verdict
+    return True
+
+
+def test_single_action_models_agree_with_the_oracle():
+    check_property(agrees_with_the_exact_oracle, sentences(SINGLE_ACTION_MODELS))
+
+
+def test_boolean_combinations_agree_with_the_oracle():
+    # the checker decides the top-level connectives and compiles each part
+    check_property(agrees_with_the_exact_oracle, boolean_combinations(SINGLE_ACTION_MODELS))
 
 
 def test_grades_are_monotone():

@@ -1,5 +1,5 @@
-"""Tests for objective loading, payoff classification, and the
-equilibrium/uniqueness formula builders.
+"""Tests for objective loading and the equilibrium/uniqueness formula
+builders.
 
 Oracle notes:
 - [TRIVIAL] gd sets and eta conjunctions on small payoff tables are written
@@ -19,10 +19,8 @@ from gslmc.solutions import (
     eta_formula,
     gd_set,
     is_ltl,
-    is_win_lose,
     load_objectives,
     ne_formula_general,
-    ne_formula_winlose,
     spe_formula,
     uniqueness_formula,
     winning_count_formula,
@@ -88,19 +86,6 @@ class TestLoadObjectives:
             load_objectives({"agents": {"zz": {"goals": [], "payoff": {"": 0}}}}, g)
 
 
-class TestClassify:
-    def test_win_lose_and_zero_sum(self):
-        objs = {
-            "a0": ObjectiveTuple((FP,), {"1": 1, "0": -1}),
-            "a1": ObjectiveTuple((FP,), {"1": -1, "0": 1}),
-        }
-        assert is_win_lose(objs)
-
-    def test_general_payoffs(self):
-        objs = {"a0": ObjectiveTuple((FP,), {"1": 3, "0": 0})}
-        assert not is_win_lose(objs)
-
-
 class TestGdEta:
     def test_gd_set_orders_by_payoff(self):
         obj = ObjectiveTuple((FP, FP), {"11": 2, "10": 1, "01": 1, "00": 0})
@@ -121,8 +106,11 @@ class TestBuilders:
         assert f == fm.Bind("a0", "x0", fm.Bind("a1", "x1", fm.Atom("p")))
 
     def test_winlose_ne_shape(self):
+        # with one win/lose goal per agent, the only pattern that constrains
+        # is the winning one: a winning deviation implies the profile wins
         goals = (parse("F p"), parse("G q"))
-        f = ne_formula_winlose(("a0", "a1"), ("x0", "x1"), ("y0", "y1"), goals)
+        objs = {a: ObjectiveTuple((g,), {"1": 1, "0": -1}) for a, g in zip(("a0", "a1"), goals)}
+        f = ne_formula_general(("a0", "a1"), ("x0", "x1"), ("y0", "y1"), objs)
         expected = fm.forall_graded(
             ("y0",),
             fm.finite(1),
@@ -137,6 +125,35 @@ class TestBuilders:
                     fm.f_implies(
                         bind_all(("a0", "a1"), ("x0", "y1"), goals[1]),
                         bind_all(("a0", "a1"), ("x0", "x1"), goals[1]),
+                    ),
+                ),
+            ),
+        )
+        assert f == expected
+
+    def test_an_agent_who_wins_when_its_goal_fails_binds_the_negated_goal(self):
+        # pennies' a1 pays 1 when X p fails: both the deviation side and the
+        # profile side read !goal
+        goal = parse("X p")
+        objs = {
+            "a0": ObjectiveTuple((goal,), {"1": 1, "0": -1}),
+            "a1": ObjectiveTuple((goal,), {"1": -1, "0": 1}),
+        }
+        f = ne_formula_general(("a0", "a1"), ("x0", "x1"), ("y0", "y1"), objs)
+        expected = fm.forall_graded(
+            ("y0",),
+            fm.finite(1),
+            fm.forall_graded(
+                ("y1",),
+                fm.finite(1),
+                fm.f_and(
+                    fm.f_implies(
+                        bind_all(("a0", "a1"), ("y0", "x1"), goal),
+                        bind_all(("a0", "a1"), ("x0", "x1"), goal),
+                    ),
+                    fm.f_implies(
+                        bind_all(("a0", "a1"), ("x0", "y1"), fm.Not(goal)),
+                        bind_all(("a0", "a1"), ("x0", "x1"), fm.Not(goal)),
                     ),
                 ),
             ),
@@ -204,7 +221,8 @@ class TestBuilders:
 
     def test_built_formulas_reparse(self):
         goals = (parse("F p"), parse("G q"))
-        f = ne_formula_winlose(("a0", "a1"), ("x0", "x1"), ("y0", "y1"), goals)
+        objs = {a: ObjectiveTuple((g,), {"1": 1, "0": -1}) for a, g in zip(("a0", "a1"), goals)}
+        f = ne_formula_general(("a0", "a1"), ("x0", "x1"), ("y0", "y1"), objs)
         u = uniqueness_formula(("x0", "x1"), f)
         text = fm.print_formula(u)
         assert fm.parse_formula(text, {"a0", "a1"}) == u
