@@ -4,6 +4,10 @@ An automaton runs on full Delta-branching Sigma-labeled trees.  Transition
 formulas are positive Boolean formulas over moves (direction, state); states
 are integers 0..n-1; acceptance is a min-parity priority function.
 
+Transitions are stored per state in alphabet order: `trans[q]` is a tuple
+holding state q's transition on each letter, `trans[q][i]` the one on
+`alphabet[i]`.
+
 Trees are presented by finite generators (RegularTree): a total transducer
 assigning every node a letter and a child node per direction.
 
@@ -26,7 +30,9 @@ class Apt:
     directions: tuple
     n_states: int
     initial: int
-    trans: dict  # (state, letter) -> posbool over (direction, state) moves
+    # one row per state, in state order: a tuple of the state's transitions,
+    # posbool over (direction, state) moves, on the letters in alphabet order
+    trans: list
     priority: dict  # state -> nat
 
     def max_priority(self):
@@ -35,8 +41,7 @@ class Apt:
 
 def accept_all(alphabet, directions):
     """One-state automaton accepting every tree (all branches die at once)."""
-    trans = {(0, a): pb.TRUE for a in alphabet}
-    return Apt(tuple(alphabet), tuple(directions), 1, 0, trans, {0: 0})
+    return Apt(tuple(alphabet), tuple(directions), 1, 0, [(pb.TRUE,) * len(alphabet)], {0: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +51,7 @@ def accept_all(alphabet, directions):
 def dualize(a):
     """Complement: swap and/or and true/false, shift priorities by 1."""
     memo = {}
-    trans = {k: pb.dual(f, memo) for k, f in a.trans.items()}
+    trans = [tuple([pb.dual(f, memo) for f in row]) for row in a.trans]
     priority = {q: p + 1 for q, p in a.priority.items()}
     return Apt(a.alphabet, a.directions, a.n_states, a.initial, trans, priority)
 
@@ -61,9 +66,9 @@ def join(parts, fresh, fresh_priority):
     alphabet and directions: the compiler lifts every operand to one
     alphabet over the structure's states."""
     first = parts[0]
-    trans = dict(first.trans)
+    trans = list(first.trans)
     priority = dict(first.priority)
-    firsts = {letter: [trans[(first.initial, letter)]] for letter in first.alphabet}
+    firsts = [[f] for f in trans[first.initial]]
     off = first.n_states
     for b in parts[1:]:
 
@@ -71,15 +76,13 @@ def join(parts, fresh, fresh_priority):
             return (move[0], move[1] + off)
 
         memo = {}
-        for (q, letter), f in b.trans.items():
-            trans[(q + off, letter)] = pb.map_atoms(f, shift, memo)
-        for letter, fs in firsts.items():
-            fs.append(trans[(b.initial + off, letter)])
+        trans.extend(tuple([pb.map_atoms(f, shift, memo) for f in row]) for row in b.trans)
+        for fs, f in zip(firsts, trans[b.initial + off]):
+            fs.append(f)
         for q, p in b.priority.items():
             priority[q + off] = p
         off += b.n_states
-    for letter, fs in firsts.items():
-        trans[(off, letter)] = fresh(letter, fs, off)
+    trans.append(tuple([fresh(letter, fs, off) for letter, fs in zip(first.alphabet, firsts)]))
     priority[off] = fresh_priority
     return Apt(first.alphabet, first.directions, off + 1, off, trans, priority)
 
@@ -96,11 +99,9 @@ def disjoin(parts):
 
 def relabel(a, new_alphabet, h):
     """Automaton over new_alphabet with delta'(q, s) = delta(q, h(s))."""
-    old = [h(letter) for letter in new_alphabet]
-    trans = {}
-    for q in range(a.n_states):
-        for letter, o in zip(new_alphabet, old):
-            trans[(q, letter)] = a.trans[(q, o)]
+    at = {letter: i for i, letter in enumerate(a.alphabet)}
+    cols = [at[h(letter)] for letter in new_alphabet]
+    trans = [tuple([row[i] for i in cols]) for row in a.trans]
     return Apt(tuple(new_alphabet), a.directions, a.n_states, a.initial, trans, dict(a.priority))
 
 
@@ -125,25 +126,21 @@ def distinctness_apt(grid, alphabet, directions, allowed_dirs):
 
     pairs = [(a, b) for a in range(g) for b in range(a + 1, g)]
     # state 0: initial (conjunction over all pairs); state 1 + i: walker of pair i
-    trans = {}
-    priority = {0: 1}
-    for i, _ in enumerate(pairs):
-        priority[1 + i] = 1
+    priority = {q: 1 for q in range(1 + len(pairs))}
 
     def differs(letter, a, b):
         val = dict(letter[0])
         return any(val[grid[a][i]] != val[grid[b][i]] for i in range(n))
 
+    columns = []  # per letter, the transition of every state
     for letter in alphabet:
-        bodies = []
-        for i, (a, b) in enumerate(pairs):
-            if differs(letter, a, b):
-                body = pb.TRUE
-            else:
-                body = pb.disj([pb.atom((d, 1 + i)) for d in allowed[letter]])
-            bodies.append(body)
-            trans[(1 + i, letter)] = body
-        trans[(0, letter)] = pb.conj(bodies)
+        bodies = [
+            pb.TRUE if differs(letter, a, b)
+            else pb.disj([pb.atom((d, 1 + i)) for d in allowed[letter]])
+            for i, (a, b) in enumerate(pairs)
+        ]
+        columns.append((pb.conj(bodies), *bodies))
+    trans = list(zip(*columns))
     return Apt(tuple(alphabet), tuple(directions), 1 + len(pairs), 0, trans, priority)
 
 
@@ -160,7 +157,7 @@ def is_npt(a):
     the NPT shape.
     """
     dirs = set(a.directions)
-    for f in set(a.trans.values()):
+    for f in {f for row in a.trans for f in row}:
         if f == pb.TRUE or f == pb.FALSE:
             continue
         for c in f[1] if f[0] == "|" else (f,):
@@ -191,20 +188,22 @@ def project(a, coords):
     new_letters = sorted(
         {(tuple(kv for kv in val if kv[0] not in coords), s) for (val, s) in a.alphabet}
     )
-    extensions = {}
-    for letter in a.alphabet:
-        val, s = letter
+    extensions = {}  # new letter -> the indices of the old letters extending it
+    for i, (val, s) in enumerate(a.alphabet):
         key = (tuple(kv for kv in val if kv[0] not in coords), s)
-        extensions.setdefault(key, []).append(letter)
+        extensions.setdefault(key, []).append(i)
+    ext = [extensions[nl] for nl in new_letters]
     disjs = {}  # the formulas on the extensions -> their disjunction
-    trans = {}
-    for q in range(a.n_states):
-        for nl in new_letters:
-            fs = tuple(a.trans[(q, ol)] for ol in extensions[nl])
+    trans = []
+    for row in a.trans:
+        out = []
+        for cols in ext:
+            fs = tuple([row[i] for i in cols])
             f = disjs.get(fs)
             if f is None:
                 f = disjs[fs] = pb.disj(fs)
-            trans[(q, nl)] = f
+            out.append(f)
+        trans.append(tuple(out))
     return Apt(tuple(new_letters), a.directions, a.n_states, a.initial, trans, dict(a.priority))
 
 
@@ -237,10 +236,11 @@ def membership_game(a, tree):
     every encoding_tree is.
     """
     build = _GameBuilder(a, tree)
+    at = {letter: i for i, letter in enumerate(a.alphabet)}
     start = build.state_pos(tree.root, a.initial)
     while build.queue:
         node, q, idx = build.queue.popleft()
-        build.succs[idx].append(build.formula_pos(node, a.trans[(q, tree.letter(node))]))
+        build.succs[idx].append(build.formula_pos(node, a.trans[q][at[tree.letter(node)]]))
     return ParityGame(build.owners, build.prios, build.succs), start
 
 
@@ -373,7 +373,7 @@ def simplify(a, budget):
     if a.n_states > budget:
         raise ResourceBudgetError(f"automaton exceeds state budget ({a.n_states})")
     one = {}
-    trans = {k: one.setdefault(f, f) for k, f in a.trans.items()}
+    trans = [tuple([one.setdefault(f, f) for f in row]) for row in a.trans]
     return Apt(a.alphabet, a.directions, a.n_states, a.initial, trans, a.priority)
 
 
@@ -383,8 +383,8 @@ def _restrict_reachable(a):
     frontier = [a.initial]
     while frontier:
         q = frontier.pop()
-        for letter in a.alphabet:
-            for _d, q2 in pb.atoms(a.trans[(q, letter)], atom_sets):
+        for f in a.trans[q]:
+            for _d, q2 in pb.atoms(f, atom_sets):
                 if q2 not in reach:
                     reach.add(q2)
                     frontier.append(q2)
@@ -395,8 +395,7 @@ def _merge_equivalent(a):
     sig = {}
     rep = {}
     for q in range(a.n_states):
-        key = (a.priority[q], tuple(a.trans[(q, letter)] for letter in a.alphabet))
-        rep[q] = sig.setdefault(key, q)
+        rep[q] = sig.setdefault((a.priority[q], a.trans[q]), q)
     return _renumber(a, rep)
 
 
@@ -413,10 +412,7 @@ def _renumber(a, rep):
         return (m[0], full[m[1]])
 
     memo = {}
-    trans = {}
-    for q in keep:
-        for letter in a.alphabet:
-            trans[(new[q], letter)] = pb.map_atoms(a.trans[(q, letter)], rename, memo)
+    trans = [tuple([pb.map_atoms(f, rename, memo) for f in a.trans[q]]) for q in keep]
     priority = {new[q]: a.priority[q] for q in keep}
     return Apt(a.alphabet, a.directions, len(keep), full[a.initial], trans, priority)
 
@@ -443,6 +439,6 @@ def dump_apt(a, kind="apt"):
     lines = [f"{kind} states={a.n_states} priorities={k}"]
     for q in range(a.n_states):
         lines.append(f"state {q} priority {a.priority[q]}")
-        for letter in a.alphabet:
-            lines.append(f"  {q} {letter!r} -> {pb.render(a.trans[(q, letter)])}")
+        for letter, f in zip(a.alphabet, a.trans[q]):
+            lines.append(f"  {q} {letter!r} -> {pb.render(f)}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import sys
 from gslmc import formula as fm
 from gslmc.automata import dump_apt
 from gslmc.cgs import FiniteStrategy, load_cgs
-from gslmc.compiler import check_assignment, check_sentence
+from gslmc.compiler import check_assignment
 from gslmc.determinize import DEFAULT_BUDGET
 from gslmc.errors import ModelError, ParseError, ResourceBudgetError, UnsupportedGradeError
 from gslmc.oracle import DEFAULT_PROFILE_BUDGET, EXACT, count_ne_memoryless, oracle_check
@@ -143,10 +143,7 @@ def cmd_check(args):
         raise UnsupportedGradeError("infinite grades unsupported")
     assignment = _load_assignment(args.assign, f, cgs)
     try:
-        if assignment is None:
-            holds, ctx = check_sentence(f, cgs, budget=args.budget)
-        else:
-            holds, ctx = check_assignment(f, cgs, assignment, budget=args.budget)
+        holds, ctx = check_assignment(f, cgs, assignment or {}, budget=args.budget)
     except ResourceBudgetError as e:
         # a stop reports the stages that finished before it
         if e.context is not None:

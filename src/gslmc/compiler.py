@@ -177,11 +177,8 @@ def _compile(f, ctx):
 
 def _atom(p, ctx):
     alpha = ctx.alphabet(())
-    trans = {
-        (0, letter): (pb.TRUE if p in ctx.cgs.label[letter[1]] else pb.FALSE)
-        for letter in alpha
-    }
-    return Apt(alpha, ctx.cgs.states, 1, 0, trans, {0: 0}), frozenset()
+    row = tuple([pb.TRUE if p in ctx.cgs.label[letter[1]] else pb.FALSE for letter in alpha])
+    return Apt(alpha, ctx.cgs.states, 1, 0, [row], {0: 0}), frozenset()
 
 
 def _rename(a, source, names, ctx):

@@ -265,20 +265,18 @@ def breakpoint_construction(a, budget):
     build = _Build(a, budget)
     start = 1 << a.initial
     init = build.state((start, start & ~f0))
-    trans = {}
     while build.todo:
         key = build.todo.pop()
-        me = build.states[key]
         active = members(key[0])
         slot = slots(active, a.n_states)
         # choices are taken lazily, so each letter's work is charged before
         # the states it reaches are made, and the budget stops keep their order
-        build.transitions(
-            trans, me, ((letter, build.choices(active, letter)) for letter in a.alphabet),
+        build.row(
+            build.states[key], (build.choices(active, i) for i in range(len(a.alphabet))),
             lambda e: build.state(breakpoint_step(key, build.edge_of[e], slot, full, f0)),
         )
     priority = {i: 1 if o else 0 for (_s, o), i in build.states.items()}
-    return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
+    return Apt(a.alphabet, a.directions, len(build.states), init, build.trans, priority)
 
 
 def breakpoint_step(state, rel, slot, full, f0):
@@ -323,8 +321,8 @@ def safra_construction(a, budget):
         # edge relations with equal images of every label step alike
         by_images = {}
         seen = set()
-        for letter in a.alphabet:
-            c = build.choices(active, letter)
+        for i in range(len(a.alphabet)):
+            c = build.choices(active, i)
             tchoice.append(c)
             if c in seen:
                 continue
@@ -351,10 +349,10 @@ def safra_construction(a, budget):
     # pass 2: a state is (tree id, priority of the step into it plus one,
     # since a branch is good exactly when the bad-trace automaton rejects);
     # the accept-all state for branches with no tracked obligations has its
-    # transitions set here: it is not queued
+    # row set here: it is not queued
     sink = build.states["sink"] = 0
     loop = pb.conj([pb.atom((d, sink)) for d in a.directions])
-    trans = {(sink, letter): loop for letter in a.alphabet}
+    build.trans.append((loop,) * len(a.alphabet))
     init = build.state((0, neutral + 1))
     while build.todo:
         key = build.todo.pop()
@@ -365,9 +363,9 @@ def safra_construction(a, budget):
             t2id, prio = tsteps[e]
             return sink if t2id is None else build.state((t2id, prio + 1))
 
-        build.transitions(trans, build.states[key], zip(a.alphabet, choice[tid]), target)
+        build.row(build.states[key], choice[tid], target)
     priority = {i: 2 if key == "sink" else key[1] for key, i in build.states.items()}
-    return Apt(a.alphabet, a.directions, len(build.states), init, trans, priority)
+    return Apt(a.alphabet, a.directions, len(build.states), init, build.trans, priority)
 
 
 def _label_images(post, labels, e, rel, slot, memo):
@@ -395,7 +393,7 @@ def _intern(ids, objs, x):
 
 class _Build:
     """What both constructions share: the transition choices of the input's
-    active-state sets, the output states and the output transitions, with
+    active-state sets, the output states and their rows of transitions, with
     the budget stops.
 
     Choices are keyed by transition class, not by letter: each input
@@ -404,14 +402,16 @@ class _Build:
     each one's transition on the letter).  Many letters share a key, and so
     its choice id and, per output state, its output transition.  A key
     records its combination count and its edge relations in first-use
-    order, all that the exploration reads; its rows, one edge id per
+    order, all that the exploration reads; its choice rows, one edge id per
     direction for every combination, are built on the first output
     transition that needs them, and a construction stopped on the budget
     builds none.  States are interned from hashable keys to ids in discovery
-    order; a new key is pushed on `todo`.  Edge relations are interned to
-    ids, `edge_of[e]` being relation e.  A relation is read against the
-    active states of the key that built it; one int built for two keys
-    shares an id, and each user reads it against its own key.
+    order; a new key is pushed on `todo` and reserves the state's row in
+    `trans`, which `row` fills.  Letters are named by their index in the
+    input's alphabet.  Edge relations are interned to ids, `edge_of[e]`
+    being relation e.  A relation is read against the active states of the
+    key that built it; one int built for two keys shares an id, and each
+    user reads it against its own key.
     """
 
     def __init__(self, a, budget):
@@ -420,7 +420,7 @@ class _Build:
         # the directions in the order of posbool's conjunctions, the order of
         # the rows' columns
         self.dirs = tuple(sorted(a.directions))
-        self.classes = {}  # (state, letter) -> class id of its transition
+        self.classes = {}  # (state, letter index) -> class id of its transition
         self.class_ids = {}  # transition formula -> class id
         self.models = []  # class id -> minimal models of its formula, by _columns
         self.model_work = [0]  # charged by every minimal_models call
@@ -430,10 +430,11 @@ class _Build:
         # choice id -> (combination count, edge ids in first-use order,
         # minimal models of each active state's transition, by _columns)
         self.choice_of = []
-        self.rows = {}  # choice id -> its rows, once an output transition needs them
+        self.choice_rows = {}  # choice id -> its rows, once an output transition needs them
         self.work = 0
         self.states = {}
         self.todo = []
+        self.trans = []  # the output rows, one per state, in state order
         self.conjs = {}  # targets in sorted-direction order -> conjunction of their moves
         self.disjs = {}  # distinct sorted target tuples -> disjunction of their conjunctions
 
@@ -448,29 +449,30 @@ class _Build:
         if idx is None:
             idx = self.states[key] = len(self.states)
             self.todo.append(key)
+            self.trans.append(None)
             self.check_size(len(self.states))
         return idx
 
-    def transition_class(self, q, letter):
-        """The class id of state q's transition on the letter; its minimal
+    def transition_class(self, q, i):
+        """The class id of state q's transition on letter i; its minimal
         models are computed once per class."""
-        c = self.classes.get((q, letter))
+        c = self.classes.get((q, i))
         if c is None:
-            f = self.a.trans[(q, letter)]
+            f = self.a.trans[q][i]
             c = self.class_ids.get(f)
             if c is None:
                 c = self.class_ids[f] = len(self.models)
                 self.models.append(
                     _columns(pb.minimal_models(f, self.budget, self.model_work)))
-            self.classes[(q, letter)] = c
+            self.classes[(q, i)] = c
         return c
 
-    def choices(self, active, letter):
-        """The choice id of the active states on the letter; `choice_of[id]`
+    def choices(self, active, i):
+        """The choice id of the active states on letter i; `choice_of[id]`
         is found once per key (active states, class ids).  Every call adds
         the combination count times the directions to the work, so the
         budget stops do not depend on the sharing."""
-        key = (active, tuple([self.transition_class(q, letter) for q in active]))
+        key = (active, tuple([self.transition_class(q, i) for q in active]))
         c = self.choice_ids.get(key)
         if c is None:
             per_state = [self.models[k] for k in key[1]]
@@ -485,8 +487,9 @@ class _Build:
             )
         return c
 
-    def transitions(self, trans, me, letter_choices, target):
-        """Set trans[(me, letter)] for each (letter, choice id) pair.
+    def row(self, me, choices, target):
+        """Fill state me's row from the choice id of each letter, in
+        alphabet order.
 
         The transition of a choice id is built once, and every letter of
         that id gets the same formula.  target(e) is the output state
@@ -495,16 +498,18 @@ class _Build:
         (choice, direction) scan would give them.
         """
         out = {}  # choice id -> the transition on its letters
-        for letter, c in letter_choices:
+        row = []
+        for c in choices:
             f = out.get(c)
             if f is None:
                 _, edges, per_state = self.choice_of[c]
-                rows = self.rows.get(c)
+                rows = self.choice_rows.get(c)
                 if rows is None:
-                    rows = self.rows[c] = _choice_rows(self.dirs, self.a.n_states,
-                                                       per_state, self.edge_ids)
+                    rows = self.choice_rows[c] = _choice_rows(self.dirs, self.a.n_states,
+                                                              per_state, self.edge_ids)
                 f = out[c] = self.formula(rows, {e: target(e) for e in edges})
-            trans[(me, letter)] = f
+            row.append(f)
+        self.trans[me] = tuple(row)
 
     def formula(self, rows, target):
         """The disjunction over rows of the conjunction of the moves

@@ -40,14 +40,13 @@ def random_posbool(rng, dirs, nq, depth=2):
 
 def random_apt(rng, max_states=4, max_pr=3, alpha=(0, 1), dirs=(0, 1)):
     nq = rng.randint(1, max_states)
-    trans = {(q, a): random_posbool(rng, dirs, nq) for q in range(nq) for a in alpha}
+    trans = [tuple([random_posbool(rng, dirs, nq) for _ in alpha]) for _ in range(nq)]
     prio = {q: rng.randrange(max_pr) for q in range(nq)}
     return Apt(tuple(alpha), tuple(dirs), nq, 0, trans, prio)
 
 
 def reject_all(alphabet, directions):
-    trans = {(0, a): pb.FALSE for a in alphabet}
-    return Apt(tuple(alphabet), tuple(directions), 1, 0, trans, {0: 0})
+    return Apt(tuple(alphabet), tuple(directions), 1, 0, [(pb.FALSE,) * len(alphabet)], {0: 0})
 
 
 def random_tree(rng, alpha, dirs, max_nodes=3):
@@ -183,12 +182,7 @@ class TestDistinctness:
 class TestProjection:
     def test_requires_npt_shape(self, rng):
         alphabet = (((("x", "a"),), "s"), ((("x", "b"),), "s"))
-        trans = {
-            (0, letter): pb.conj(
-                [pb.atom(("d0", 0)), pb.atom(("d0", 0))]
-            )
-            for letter in alphabet
-        }
+        trans = [(pb.conj([pb.atom(("d0", 0)), pb.atom(("d0", 0))]),) * len(alphabet)]
         a = Apt(alphabet, ("d0",), 1, 0, trans, {0: 0})
         assert is_npt(a)
         alternating = Apt(
@@ -196,7 +190,7 @@ class TestProjection:
             ("d0", "d1"),
             1,
             0,
-            {(0, letter): pb.atom(("d0", 0)) for letter in alphabet},
+            [(pb.atom(("d0", 0)),) * len(alphabet)],
             {0: 0},
         )
         # project does not check the shape: its input is alternation
@@ -208,7 +202,7 @@ class TestProjection:
         dirs = ("d0", "d1")
 
         def apt(f):
-            return Apt(alphabet, dirs, 2, 0, {(q, "l"): f for q in range(2)}, {0: 0, 1: 1})
+            return Apt(alphabet, dirs, 2, 0, [(f,), (f,)], {0: 0, 1: 1})
 
         a0, a1, b0, b1 = (pb.atom(m) for m in [("d0", 0), ("d0", 1), ("d1", 0), ("d1", 1)])
         assert is_npt(apt(pb.TRUE)) and is_npt(apt(pb.FALSE))
@@ -227,15 +221,17 @@ class TestProjection:
         plain = tuple(((), s) for s in ("s0", "s1"))
         for _ in range(15):
             nq = rng.randint(1, 3)
-            trans = {}
-            for q in range(nq):
-                for letter in alphabet:
+            trans = []
+            for _q in range(nq):
+                row = []
+                for _letter in alphabet:
                     models = []
                     for _k in range(rng.randint(1, 2)):
                         models.append(
                             pb.conj([pb.atom((d, rng.randrange(nq))) for d in dirs])
                         )
-                    trans[(q, letter)] = pb.disj(models)
+                    row.append(pb.disj(models))
+                trans.append(tuple(row))
             a = Apt(alphabet, dirs, nq, 0, trans, {q: rng.randrange(3) for q in range(nq)})
             assert is_npt(a)
             p = project(a, ("x",))

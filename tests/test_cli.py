@@ -184,7 +184,7 @@ class TestCheckExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "check_sentence", exhausted)
+        monkeypatch.setattr(cli, "check_assignment", exhausted)
         code, out, err = run(capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p")
         assert code == 4 and "memory" in err and "FAILS" not in out
 
@@ -194,7 +194,7 @@ class TestCheckExitCodes:
         def defect(*args, **kwargs):
             raise RuntimeError("broken invariant\nsecond line")
 
-        monkeypatch.setattr(cli, "check_sentence", defect)
+        monkeypatch.setattr(cli, "check_assignment", defect)
         code, out, err = run(capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p")
         assert code == cli.EXIT_INTERNAL == 6
         assert "FAILS" not in out

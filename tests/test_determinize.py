@@ -378,7 +378,7 @@ class TestChoicePieces:
     @pytest.mark.parametrize("directions", [DIRECTIONS, ("r1",), ("b", "a")])
     def test_formula_is_the_normalized_disjunction(self, directions):
         rng = random.Random(63)
-        a = Apt((0,), directions, 1, 0, {(0, 0): pb.TRUE}, {0: 0})
+        a = Apt((0,), directions, 1, 0, [(pb.TRUE,)], {0: 0})
         build = determinize._Build(a, DEFAULT_BUDGET)
         for _ in range(300):
             edges = range(rng.randint(1, 5))
@@ -454,13 +454,13 @@ class TestSharedLetters:
 
     @staticmethod
     def doubled(a):
-        """a with a copy of every letter, whose transitions are equal to the
-        original's but distinct objects."""
-        copy = {x: len(a.alphabet) + i for i, x in enumerate(a.alphabet)}
-        trans = dict(a.trans)
-        for (q, x), f in a.trans.items():
-            trans[(q, copy[x])] = pb.map_atoms(f, lambda m: m, {})
-        return replace(a, alphabet=a.alphabet + tuple(copy.values()), trans=trans), copy
+        """a with a copy of every letter appended, letter i's at i + n for
+        n letters, whose transitions are equal to the original's but
+        distinct objects."""
+        n = len(a.alphabet)
+        trans = [row + tuple([pb.map_atoms(f, lambda m: m, {}) for f in row])
+                 for row in a.trans]
+        return replace(a, alphabet=a.alphabet + tuple(range(n, 2 * n)), trans=trans)
 
     @pytest.mark.parametrize("construction,max_pr", [
         (breakpoint_construction, 2), (safra_construction, 3)])
@@ -480,14 +480,15 @@ class TestSharedLetters:
             a = simplify(random_apt(rng, max_states=4, max_pr=max_pr), DEFAULT_BUDGET)
             if is_npt(a):
                 continue
-            a2, copy = self.doubled(a)
+            a2 = self.doubled(a)
             out = construction(a, DEFAULT_BUDGET)
             out2 = construction(a2, DEFAULT_BUDGET)
             assert out2.n_states == out.n_states
             assert builds[-1].work == 2 * builds[-2].work
-            for (q, x), f in out.trans.items():
-                assert out2.trans[(q, x)] == f
-                assert out2.trans[(q, copy[x])] is out2.trans[(q, x)]
+            n = len(a.alphabet)
+            for row, row2 in zip(out.trans, out2.trans):
+                assert row2[:n] == row
+                assert all(row2[n + i] is row2[i] for i in range(n))
             checked += 1
         assert checked >= 20
 

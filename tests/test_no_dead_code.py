@@ -17,6 +17,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 USED_FROM_OUTSIDE = {
     "solve_fixpoint": "perfbench's verdict gate cross-checks the solver with it",
     "verify_strategy": "perfbench's verdict gate checks the solver's strategies with it",
+    "check_sentence": "perfbench's check workloads decide their sentences with it",
 }
 
 

@@ -140,5 +140,6 @@ class TestSimplifySharing:
         for _ in range(200):
             a = simplify(random_apt(rng, max_states=6), DEFAULT_BUDGET)
             first = {}
-            for f in a.trans.values():
-                assert first.setdefault(f, f) is f
+            for row in a.trans:
+                for f in row:
+                    assert first.setdefault(f, f) is f
