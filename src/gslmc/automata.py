@@ -4,9 +4,10 @@ An automaton runs on full Delta-branching Sigma-labeled trees.  Transition
 formulas are positive Boolean formulas over moves (direction, state); states
 are integers 0..n-1; acceptance is a min-parity priority function.
 
-Transitions are stored per state in alphabet order: `trans[q]` is a tuple
-holding state q's transition on each letter, `trans[q][i]` the one on
-`alphabet[i]`.
+Transitions and priorities are per-state rows, in state order, and the
+state count n is their length.  `trans[q]` is a tuple holding state q's
+transition on each letter in alphabet order, `trans[q][i]` the one on
+`alphabet[i]`; `priority[q]` is state q's priority.
 
 Trees are presented by finite generators (RegularTree): a total transducer
 assigning every node a letter and a child node per direction.
@@ -28,20 +29,21 @@ from gslmc.paritygame import ParityGame, solve_zielonka, VERIFIER
 class Apt:
     alphabet: tuple
     directions: tuple
-    n_states: int
     initial: int
     # one row per state, in state order: a tuple of the state's transitions,
     # posbool over (direction, state) moves, on the letters in alphabet order
     trans: list
-    priority: dict  # state -> nat
+    priority: tuple  # one nat per state, in state order
 
-    def max_priority(self):
-        return max(self.priority.values())
+    @property
+    def n_states(self):
+        """The number of states: the length of the per-state rows."""
+        return len(self.trans)
 
 
 def accept_all(alphabet, directions):
     """One-state automaton accepting every tree (all branches die at once)."""
-    return Apt(tuple(alphabet), tuple(directions), 1, 0, [(pb.TRUE,) * len(alphabet)], {0: 0})
+    return Apt(tuple(alphabet), tuple(directions), 0, [(pb.TRUE,) * len(alphabet)], (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +54,8 @@ def dualize(a):
     """Complement: swap and/or and true/false, shift priorities by 1."""
     memo = {}
     trans = [tuple([pb.dual(f, memo) for f in row]) for row in a.trans]
-    priority = {q: p + 1 for q, p in a.priority.items()}
-    return Apt(a.alphabet, a.directions, a.n_states, a.initial, trans, priority)
+    priority = tuple([p + 1 for p in a.priority])
+    return Apt(a.alphabet, a.directions, a.initial, trans, priority)
 
 
 def join(parts, fresh, fresh_priority):
@@ -67,7 +69,7 @@ def join(parts, fresh, fresh_priority):
     alphabet over the structure's states."""
     first = parts[0]
     trans = list(first.trans)
-    priority = dict(first.priority)
+    priority = list(first.priority)
     firsts = [[f] for f in trans[first.initial]]
     off = first.n_states
     for b in parts[1:]:
@@ -79,12 +81,11 @@ def join(parts, fresh, fresh_priority):
         trans.extend(tuple([pb.map_atoms(f, shift, memo) for f in row]) for row in b.trans)
         for fs, f in zip(firsts, trans[b.initial + off]):
             fs.append(f)
-        for q, p in b.priority.items():
-            priority[q + off] = p
+        priority.extend(b.priority)
         off += b.n_states
     trans.append(tuple([fresh(letter, fs, off) for letter, fs in zip(first.alphabet, firsts)]))
-    priority[off] = fresh_priority
-    return Apt(first.alphabet, first.directions, off + 1, off, trans, priority)
+    priority.append(fresh_priority)
+    return Apt(first.alphabet, first.directions, off, trans, tuple(priority))
 
 
 def conjoin(parts):
@@ -102,7 +103,7 @@ def relabel(a, new_alphabet, h):
     at = {letter: i for i, letter in enumerate(a.alphabet)}
     cols = [at[h(letter)] for letter in new_alphabet]
     trans = [tuple([row[i] for i in cols]) for row in a.trans]
-    return Apt(tuple(new_alphabet), a.directions, a.n_states, a.initial, trans, dict(a.priority))
+    return Apt(tuple(new_alphabet), a.directions, a.initial, trans, a.priority)
 
 
 # ---------------------------------------------------------------------------
@@ -121,27 +122,23 @@ def distinctness_apt(grid, alphabet, directions, allowed_dirs):
     block's sorted variables.
     """
     g = len(grid)
-    n = len(grid[0])
-    allowed = {letter: tuple(allowed_dirs(letter)) for letter in alphabet}
-
     pairs = [(a, b) for a in range(g) for b in range(a + 1, g)]
     # state 0: initial (conjunction over all pairs); state 1 + i: walker of pair i
-    priority = {q: 1 for q in range(1 + len(pairs))}
-
-    def differs(letter, a, b):
-        val = dict(letter[0])
-        return any(val[grid[a][i]] != val[grid[b][i]] for i in range(n))
+    priority = (1,) * (1 + len(pairs))
 
     columns = []  # per letter, the transition of every state
     for letter in alphabet:
+        val = dict(letter[0])
+        acts = [tuple([val[x] for x in names]) for names in grid]  # per copy
+        dirs = tuple(allowed_dirs(letter))
         bodies = [
-            pb.TRUE if differs(letter, a, b)
-            else pb.disj([pb.atom((d, 1 + i)) for d in allowed[letter]])
+            pb.TRUE if acts[a] != acts[b]
+            else pb.disj([pb.atom((d, 1 + i)) for d in dirs])
             for i, (a, b) in enumerate(pairs)
         ]
         columns.append((pb.conj(bodies), *bodies))
     trans = list(zip(*columns))
-    return Apt(tuple(alphabet), tuple(directions), 1 + len(pairs), 0, trans, priority)
+    return Apt(tuple(alphabet), tuple(directions), 0, trans, priority)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,7 @@ def project(a, coords):
                 f = disjs[fs] = pb.disj(fs)
             out.append(f)
         trans.append(tuple(out))
-    return Apt(tuple(new_letters), a.directions, a.n_states, a.initial, trans, dict(a.priority))
+    return Apt(tuple(new_letters), a.directions, a.initial, trans, a.priority)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +251,7 @@ class _GameBuilder:
     def __init__(self, a, tree):
         self.a = a
         self.tree = tree
-        self.neutral = a.max_priority() + 2
+        self.neutral = max(a.priority) + 2
         self.positions = {}
         self.owners = []
         self.prios = []
@@ -374,7 +371,7 @@ def simplify(a, budget):
         raise ResourceBudgetError(f"automaton exceeds state budget ({a.n_states})")
     one = {}
     trans = [tuple([one.setdefault(f, f) for f in row]) for row in a.trans]
-    return Apt(a.alphabet, a.directions, a.n_states, a.initial, trans, a.priority)
+    return Apt(a.alphabet, a.directions, a.initial, trans, a.priority)
 
 
 def _restrict_reachable(a):
@@ -394,8 +391,8 @@ def _restrict_reachable(a):
 def _merge_equivalent(a):
     sig = {}
     rep = {}
-    for q in range(a.n_states):
-        rep[q] = sig.setdefault((a.priority[q], a.trans[q]), q)
+    for q, key in enumerate(zip(a.priority, a.trans)):
+        rep[q] = sig.setdefault(key, q)
     return _renumber(a, rep)
 
 
@@ -413,20 +410,20 @@ def _renumber(a, rep):
 
     memo = {}
     trans = [tuple([pb.map_atoms(f, rename, memo) for f in a.trans[q]]) for q in keep]
-    priority = {new[q]: a.priority[q] for q in keep}
-    return Apt(a.alphabet, a.directions, len(keep), full[a.initial], trans, priority)
+    priority = tuple([a.priority[q] for q in keep])
+    return Apt(a.alphabet, a.directions, full[a.initial], trans, priority)
 
 
 def compress_priorities(a):
-    used = sorted(set(a.priority.values()))
+    used = sorted(set(a.priority))
     out = {}
     cur = used[0] % 2
     out[used[0]] = cur
     for prev, nxt in zip(used, used[1:]):
         cur = cur + (0 if (nxt - prev) % 2 == 0 else 1)
         out[nxt] = cur
-    priority = {q: out[p] for q, p in a.priority.items()}
-    return Apt(a.alphabet, a.directions, a.n_states, a.initial, a.trans, priority)
+    priority = tuple([out[p] for p in a.priority])
+    return Apt(a.alphabet, a.directions, a.initial, a.trans, priority)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +432,7 @@ def compress_priorities(a):
 
 def dump_apt(a, kind="apt"):
     """Textual dump: header, then one line per (state, letter) transition."""
-    k = len(set(a.priority.values()))
+    k = len(set(a.priority))
     lines = [f"{kind} states={a.n_states} priorities={k}"]
     for q in range(a.n_states):
         lines.append(f"state {q} priority {a.priority[q]}")

@@ -122,8 +122,8 @@ def _print_stats(f, ctx):
     print(f"nondeterminization-stages: {ctx.stage_count()}")
     for i, s in enumerate(ctx.stages, start=1):
         print(
-            f"stage {i}: {s['op']} depth={s['depth']} copies={s['copies']}"
-            f" in={s['in_states']} out={s['out_states']}"
+            f"stage {i}: nondeterminize depth={s['depth']} copies={s['copies']}"
+            f" in={s['apt'].n_states} out={s['npt'].n_states}"
         )
 
 
@@ -139,8 +139,6 @@ def cmd_check(args):
     cgs = _load_model(args.model)
     text = _formula_text(args)
     f = fm.parse_formula(text, set(cgs.agents))
-    if not fm.grades_all_finite(f):
-        raise UnsupportedGradeError("infinite grades unsupported")
     assignment = _load_assignment(args.assign, f, cgs)
     try:
         holds, ctx = check_assignment(f, cgs, assignment or {}, budget=args.budget)

@@ -84,11 +84,8 @@ class CompilationContext:
         out = nondeterminize(apt, budget=self.budget)
         self.stages.append(
             {
-                "op": "nondeterminize",
                 "depth": self._depth,
                 "copies": n_copies,
-                "in_states": apt.n_states,
-                "out_states": out.n_states,
                 "apt": apt,
                 "npt": out,
             }
@@ -116,8 +113,6 @@ def compile_formula(f, ctx):
 
 def check_sentence(f, cgs, mode="block", budget=DEFAULT_BUDGET):
     """Does the sentence f hold at the initial state of cgs?"""
-    if not fm.is_sentence(f, set(cgs.agents)):
-        raise ModelError("formula is not a sentence over the structure's agents")
     return check_assignment(f, cgs, {}, mode=mode, budget=budget)
 
 
@@ -178,7 +173,7 @@ def _compile(f, ctx):
 def _atom(p, ctx):
     alpha = ctx.alphabet(())
     row = tuple([pb.TRUE if p in ctx.cgs.label[letter[1]] else pb.FALSE for letter in alpha])
-    return Apt(alpha, ctx.cgs.states, 1, 0, [row], {0: 0}), frozenset()
+    return Apt(alpha, ctx.cgs.states, 0, [row], (0,)), frozenset()
 
 
 def _rename(a, source, names, ctx):

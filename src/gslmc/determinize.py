@@ -86,15 +86,15 @@ class BadTraceNbw:
     def __init__(self, priority):
         n = self.n = len(priority)
         self.full = (1 << n) - 1
-        self.odd = sorted(p for p in set(priority.values()) if p % 2 == 1)
+        self.odd = sorted(p for p in set(priority) if p % 2 == 1)
         # per odd[j]: its bit offset and the states q with priority >= odd[j]
         self.guesses = [
-            (n * (1 + j), sum(1 << q for q, p in priority.items() if p >= r))
+            (n * (1 + j), sum(1 << q for q, p in enumerate(priority) if p >= r))
             for j, r in enumerate(self.odd)
         ]
         self.accepting = sum(
             1 << (n * (1 + j) + q)
-            for j, r in enumerate(self.odd) for q, p in priority.items() if p == r
+            for j, r in enumerate(self.odd) for q, p in enumerate(priority) if p == r
         )
     def post(self, label, rel, slot):
         """The successors of the set of states `label` under rel."""
@@ -241,7 +241,7 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     """
     if is_npt(a):
         return a
-    if set(a.priority.values()) <= {0, 1}:
+    if set(a.priority) <= {0, 1}:
         out = breakpoint_construction(a, budget)
     else:
         out = safra_construction(a, budget)
@@ -260,7 +260,7 @@ def breakpoint_construction(a, budget):
     O = {} has priority 0 and every other state 1.  Without priority 0 the
     construction is the plain subset construction.
     """
-    f0 = sum(1 << q for q, p in a.priority.items() if p == 0)
+    f0 = sum(1 << q for q, p in enumerate(a.priority) if p == 0)
     full = (1 << a.n_states) - 1
     build = _Build(a, budget)
     start = 1 << a.initial
@@ -275,8 +275,9 @@ def breakpoint_construction(a, budget):
             build.states[key], (build.choices(active, i) for i in range(len(a.alphabet))),
             lambda e: build.state(breakpoint_step(key, build.edge_of[e], slot, full, f0)),
         )
-    priority = {i: 1 if o else 0 for (_s, o), i in build.states.items()}
-    return Apt(a.alphabet, a.directions, len(build.states), init, build.trans, priority)
+    # build.states lists the states in id order
+    priority = tuple([1 if o else 0 for _s, o in build.states])
+    return Apt(a.alphabet, a.directions, init, build.trans, priority)
 
 
 def breakpoint_step(state, rel, slot, full, f0):
@@ -364,8 +365,9 @@ def safra_construction(a, budget):
             return sink if t2id is None else build.state((t2id, prio + 1))
 
         build.row(build.states[key], choice[tid], target)
-    priority = {i: 2 if key == "sink" else key[1] for key, i in build.states.items()}
-    return Apt(a.alphabet, a.directions, len(build.states), init, build.trans, priority)
+    # build.states lists the states in id order, the sink first
+    priority = tuple([2 if key == "sink" else key[1] for key in build.states])
+    return Apt(a.alphabet, a.directions, init, build.trans, priority)
 
 
 def _label_images(post, labels, e, rel, slot, memo):

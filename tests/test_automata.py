@@ -41,12 +41,12 @@ def random_posbool(rng, dirs, nq, depth=2):
 def random_apt(rng, max_states=4, max_pr=3, alpha=(0, 1), dirs=(0, 1)):
     nq = rng.randint(1, max_states)
     trans = [tuple([random_posbool(rng, dirs, nq) for _ in alpha]) for _ in range(nq)]
-    prio = {q: rng.randrange(max_pr) for q in range(nq)}
-    return Apt(tuple(alpha), tuple(dirs), nq, 0, trans, prio)
+    prio = tuple(rng.randrange(max_pr) for _ in range(nq))
+    return Apt(tuple(alpha), tuple(dirs), 0, trans, prio)
 
 
 def reject_all(alphabet, directions):
-    return Apt(tuple(alphabet), tuple(directions), 1, 0, [(pb.FALSE,) * len(alphabet)], {0: 0})
+    return Apt(tuple(alphabet), tuple(directions), 0, [(pb.FALSE,) * len(alphabet)], (0,))
 
 
 def random_tree(rng, alpha, dirs, max_nodes=3):
@@ -183,15 +183,14 @@ class TestProjection:
     def test_requires_npt_shape(self, rng):
         alphabet = (((("x", "a"),), "s"), ((("x", "b"),), "s"))
         trans = [(pb.conj([pb.atom(("d0", 0)), pb.atom(("d0", 0))]),) * len(alphabet)]
-        a = Apt(alphabet, ("d0",), 1, 0, trans, {0: 0})
+        a = Apt(alphabet, ("d0",), 0, trans, (0,))
         assert is_npt(a)
         alternating = Apt(
             alphabet,
             ("d0", "d1"),
-            1,
             0,
             [(pb.atom(("d0", 0)),) * len(alphabet)],
-            {0: 0},
+            (0,),
         )
         # project does not check the shape: its input is alternation
         # removal's output, which tests/test_determinize.py pins as an NPT
@@ -202,7 +201,7 @@ class TestProjection:
         dirs = ("d0", "d1")
 
         def apt(f):
-            return Apt(alphabet, dirs, 2, 0, [(f,), (f,)], {0: 0, 1: 1})
+            return Apt(alphabet, dirs, 0, [(f,), (f,)], (0, 1))
 
         a0, a1, b0, b1 = (pb.atom(m) for m in [("d0", 0), ("d0", 1), ("d1", 0), ("d1", 1)])
         assert is_npt(apt(pb.TRUE)) and is_npt(apt(pb.FALSE))
@@ -232,7 +231,7 @@ class TestProjection:
                         )
                     row.append(pb.disj(models))
                 trans.append(tuple(row))
-            a = Apt(alphabet, dirs, nq, 0, trans, {q: rng.randrange(3) for q in range(nq)})
+            a = Apt(alphabet, dirs, 0, trans, tuple(rng.randrange(3) for _ in range(nq)))
             assert is_npt(a)
             p = project(a, ("x",))
             t = random_tree(rng, plain, dirs, max_nodes=2)

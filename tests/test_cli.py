@@ -98,6 +98,14 @@ class TestCheckExitCodes:
                              "-f", "(a0,x) X (a0,y) X p")
         assert code == 3 and not out and err.startswith("error:")
 
+    def test_empty_assign_names_the_missing_name(self, capsys, toggle_path, tmp_path):
+        # the compiler's own check: the document lacks a free name
+        p = tmp_path / "assign.json"
+        p.write_text("{}")
+        code, out, err = run(capsys, "check", toggle_path, "-f", "(a0,x) X p", "--assign", str(p))
+        assert code == 3 and not out
+        assert err == "error: assignment misses free names: ['x']\n"
+
     @pytest.mark.parametrize("command, text, code, line", [
         ("check", "(a0,x) p", 1, "FAILS"),
         ("check", "<<x>> (a0,y)(a0,x) X p", 0, "HOLDS"),
@@ -160,7 +168,7 @@ class TestCheckExitCodes:
         code, _, err = run(
             capsys, "check", toggle_path, "-f", "<<x>>^>=aleph0 (a0,x) X p"
         )
-        assert code == 4 and "error" in err
+        assert code == 4 and "only finite grades can be model checked" in err
 
     def test_budget_error_is_four(self, capsys):
         model = os.path.join(DATA, "desk3.json")

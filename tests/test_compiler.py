@@ -276,10 +276,10 @@ def test_block_and_single_modes_agree_and_pool():
         # projection trusts alternation removal to return an NPT
         for _, ctx in (block, single):
             assert all(is_npt(s["npt"]) for s in ctx.stages)
-            # one row of transitions per state, one entry per letter
+            # a priority and a row of transitions per state, one entry per letter
             for s in ctx.stages:
                 for a in (s["apt"], s["npt"]):
-                    assert len(a.trans) == a.n_states
+                    assert len(a.priority) == len(a.trans)
                     assert all(len(row) == len(a.alphabet) for row in a.trans)
         return True
 

@@ -50,7 +50,7 @@ class RefBadTraceNbw:
     checks pr >= r forever with pr == r infinitely often."""
 
     def __init__(self, priority):
-        self.priority = dict(priority)
+        self.priority = dict(enumerate(priority))
         self.odd = sorted(p for p in set(self.priority.values()) if p % 2 == 1)
 
     def states(self):
@@ -178,7 +178,7 @@ def breakpoint_accepts_lasso(priority, q0, prefix, cycle):
     """Run the breakpoint states on the lasso; accept iff a breakpoint
     (O empty, priority 0) lies on its eventual loop."""
     n = len(priority)
-    f0 = mask(q for q, p in priority.items() if p == 0)
+    f0 = mask(q for q, p in enumerate(priority) if p == 0)
 
     def step(state, edges):
         active = members(state[0])
@@ -210,7 +210,7 @@ def random_lassos(rng, count, top_priority):
     most 4 states with priorities up to top_priority."""
     for _ in range(count):
         nq = rng.randint(1, 4)
-        priority = {q: rng.randint(0, top_priority) for q in range(nq)}
+        priority = tuple(rng.randint(0, top_priority) for _ in range(nq))
         pairs = [(a, b) for a in range(nq) for b in range(nq)]
 
         def rel():
@@ -271,7 +271,7 @@ class TestPackedSets:
         rng = random.Random(41)
         for trial in range(160):
             n = self.SIZES[trial % len(self.SIZES)] if trial < 40 else rng.randint(1, 70)
-            priority = {q: rng.randint(0, 5) for q in range(n)}
+            priority = tuple(rng.randint(0, 5) for _ in range(n))
             active = tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 12)))))
             # each active state's models over two directions; a choice row's
             # relation per direction, interned by _choice_edges and read off
@@ -378,7 +378,7 @@ class TestChoicePieces:
     @pytest.mark.parametrize("directions", [DIRECTIONS, ("r1",), ("b", "a")])
     def test_formula_is_the_normalized_disjunction(self, directions):
         rng = random.Random(63)
-        a = Apt((0,), directions, 1, 0, [(pb.TRUE,)], {0: 0})
+        a = Apt((0,), directions, 0, [(pb.TRUE,)], (0,))
         build = determinize._Build(a, DEFAULT_BUDGET)
         for _ in range(300):
             edges = range(rng.randint(1, 5))
@@ -394,7 +394,7 @@ class TestChoicePieces:
         inputs = []
         while len(inputs) < 25:
             a = simplify(random_apt(rng, max_states=4, max_pr=3), DEFAULT_BUDGET)
-            if not is_npt(a) and not set(a.priority.values()) <= {0, 1}:
+            if not is_npt(a) and not set(a.priority) <= {0, 1}:
                 inputs.append(a)
         calls = []
 
