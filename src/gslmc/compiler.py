@@ -46,11 +46,10 @@ def _copy_name(name, j):
 @dataclass
 class CompilationContext:
     cgs: object
-    mode: str = "block"  # "block" pools same-type quantifier prefixes
     budget: int = DEFAULT_BUDGET
-    stages: list = field(default_factory=list)
-    _depth: int = 0
-    _alphabets: dict = field(default_factory=dict)
+    stages: list = field(default_factory=list, init=False)
+    _depth: int = field(default=0, init=False)
+    _alphabets: dict = field(default_factory=dict, init=False)
 
     def alphabet(self, names):
         """All (valuation, state) letters over names; a ResourceBudgetError
@@ -111,12 +110,12 @@ def compile_formula(f, ctx):
         raise
 
 
-def check_sentence(f, cgs, mode="block", budget=DEFAULT_BUDGET):
+def check_sentence(f, cgs, budget=DEFAULT_BUDGET):
     """Does the sentence f hold at the initial state of cgs?"""
-    return check_assignment(f, cgs, {}, mode=mode, budget=budget)
+    return check_assignment(f, cgs, {}, budget=budget)
 
 
-def check_assignment(f, cgs, assignment, mode="block", budget=DEFAULT_BUDGET):
+def check_assignment(f, cgs, assignment, budget=DEFAULT_BUDGET):
     """Does f hold under the given name -> FiniteStrategy assignment?
 
     Returns (verdict, context); the context lists the stages of the parts
@@ -127,7 +126,7 @@ def check_assignment(f, cgs, assignment, mode="block", budget=DEFAULT_BUDGET):
     missing = fm.free_placeholders(f, set(cgs.agents)) - set(assignment)
     if missing:
         raise ModelError(f"assignment misses free names: {sorted(missing)}")
-    ctx = CompilationContext(cgs, mode=mode, budget=budget)
+    ctx = CompilationContext(cgs, budget=budget)
     return _holds(f, ctx, assignment), ctx
 
 
@@ -164,9 +163,7 @@ def _compile(f, ctx):
     if isinstance(f, fm.Bind):
         return _bind(f, ctx)
     if isinstance(f, fm.ExistsGraded):
-        if ctx.mode == "block":
-            return _block(*fm.strip_same_type_block(f), ctx)
-        return _block([("E", f.vars, f.grade)], f.sub, ctx)
+        return _block(*fm.strip_exists_block(f), ctx)
     raise TypeError(f"unknown formula node {type(f).__name__}")
 
 
@@ -264,7 +261,7 @@ def _bind(f, ctx):
 def _block(block, body, ctx):
     """Eliminate a maximal existential quantifier prefix in one shot.
 
-    block is a list of ("E", vars, grade).  The body is expanded innermost
+    block is a list of (vars, grade).  The body is expanded innermost
     quantifier first: a renamed body copy for every way of instantiating each
     quantifier grade-many times, conjoined with a distinctness requirement
     per instance.  Each level is simplified where it is built, alternation
@@ -282,13 +279,13 @@ def _block(block, body, ctx):
         # free by it and the levels inside, and g copies of vars and of the
         # inner levels' copy coordinates
         free, n_coords = names, 0
-        for _k, vars_, grade in reversed(block):
+        for vars_, grade in reversed(block):
             free = free - frozenset(vars_)
             n_coords = grade.value * (len(vars_) + n_coords)
             ctx.check_alphabet(len(free) + n_coords)
 
         coords = ()
-        for _k, vars_, grade in reversed(block):
+        for vars_, grade in reversed(block):
             g = grade.value
             outer_names = names - frozenset(vars_)
             if g == 0:
@@ -331,7 +328,7 @@ def _block(block, body, ctx):
                 ])
             a = simplify(a, budget=ctx.budget)
             coords, names = tuple(all_coords), outer_names
-        npt = ctx.remove_alternation(a, sum(g.value for (_k, _v, g) in block))
+        npt = ctx.remove_alternation(a, sum(g.value for _v, g in block))
     finally:
         ctx._depth -= 1
     return project(npt, coords), names

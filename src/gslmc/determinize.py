@@ -30,8 +30,12 @@ only their number, for the work budget, and their distinct edge relations
 in first-use order; both are found per direction from each active state's
 distinct slices, without listing the choices.  The choices themselves, one
 edge relation per direction, are listed only for output transitions, which
-are built from them in posbool's normal form, so a construction stopped on
-the budget never lists them.
+are built from them in posbool's normal form.  Compact Safra charges all
+its work in a first pass, before any output transition, so a stop there
+lists no choices unless it is the state budget's stop in the second pass.
+The breakpoint construction builds each state's transitions as it explores
+the state, so a stop there comes after the choices of the states explored
+before it are listed.
 """
 
 from itertools import count
@@ -406,14 +410,15 @@ class _Build:
     records its combination count and its edge relations in first-use
     order, all that the exploration reads; its choice rows, one edge id per
     direction for every combination, are built on the first output
-    transition that needs them, and a construction stopped on the budget
-    builds none.  States are interned from hashable keys to ids in discovery
-    order; a new key is pushed on `todo` and reserves the state's row in
-    `trans`, which `row` fills.  Letters are named by their index in the
-    input's alphabet.  Edge relations are interned to ids, `edge_of[e]`
-    being relation e.  A relation is read against the active states of the
-    key that built it; one int built for two keys shares an id, and each
-    user reads it against its own key.
+    transition that needs them: by compact Safra only in its second pass,
+    and by the breakpoint construction as it explores each state.  States
+    are interned from hashable keys to ids in discovery order; a new key is
+    pushed on `todo` and reserves the state's row in `trans`, which `row`
+    fills.  Letters are named by their index in the input's alphabet.  Edge
+    relations are interned to ids, `edge_of[e]` being relation e.  A
+    relation is read against the active states of the key that built it;
+    one int built for two keys shares an id, and each user reads it against
+    its own key.
     """
 
     def __init__(self, a, budget):

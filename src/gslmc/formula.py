@@ -499,12 +499,14 @@ def strip_prefix(f):
     return prefix, f
 
 
-def strip_same_type_block(f):
-    """Maximal same-type quantifier block at the head of f."""
+def strip_exists_block(f):
+    """Maximal existential quantifier block at the head of f, as a list of
+    (vars, grade), and its body; it stops at the first quantifier that is
+    not existential."""
     block = []
-    while (m := strip_quantifier(f)) is not None and (not block or m[0] == block[0][0]):
-        kind, variables, grade, f = m
-        block.append((kind, variables, grade))
+    while (m := strip_quantifier(f)) is not None and m[0] == "E":
+        _kind, variables, grade, f = m
+        block.append((variables, grade))
     return block, f
 
 
@@ -539,9 +541,9 @@ def quantifier_rank(f):
 def quantifier_block_rank(f):
     """Nesting depth of quantifier blocks as the compiler pools them: a
     negation is transparent (it dualizes), and each existential quantifier
-    starts a block, strip_same_type_block's, around the rest."""
+    starts a block, strip_exists_block's, around the rest."""
     if isinstance(f, ExistsGraded):
-        _block, body = strip_same_type_block(f)
+        _block, body = strip_exists_block(f)
         return 1 + quantifier_block_rank(body)
     n = 0
     for g in subformulas(f):
@@ -572,16 +574,14 @@ def _is_nested_goal(f, agents):
 
 
 def _is_one_goal(f, agents):
+    """Called only on a nested-goal f, whose walk has already checked, at
+    each prefix this one reaches, that the quantified variables are distinct
+    and are exactly the free names of the goal."""
     prefix, goal = strip_prefix(f)
     if prefix:
         bindings, body = strip_binding_prefix(goal)
         bound = [a for a, _ in bindings]
         if sorted(bound) != sorted(set(agents)):
-            return False
-        quantified = [v for _, variables, _ in prefix for v in variables]
-        if len(set(quantified)) != len(quantified):
-            return False
-        if set(quantified) != free_placeholders(goal, agents):
             return False
         return _is_one_goal(body, agents)
     if isinstance(f, Bind):

@@ -88,19 +88,15 @@ def strategy_signature(cgs, strat, start):
         block = nxt_block
     order = {block[root]: 0}
     queue = [root]
-    visited = {block[root]}
     rows = []
-    while queue:
-        n = queue.pop(0)
+    for n in queue:  # the queue grows as the loop runs
         row = [strat.output[n]]
         for q2, m in succs[n]:
             b = block[m]
             if b not in order:
                 order[b] = len(order)
-            row.append((q2, order[b]))
-            if b not in visited:
-                visited.add(b)
                 queue.append(m)
+            row.append((q2, order[b]))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -253,7 +249,7 @@ class _Evaluator:
                 env2[f.agent] = env2[f.var]
             return self.eval(kids[0], q, _freeze(env2))
         if isinstance(f, fm.ExistsGraded):
-            return self.count_witnesses(i, q, env, stop_at=f.grade.value)
+            return self.count_witnesses(i, q, env, stop_at=f.grade.value) >= f.grade.value
         raise TypeError(f"unknown formula node {type(f).__name__}")
 
     def _until(self, kids, q, env):
@@ -271,23 +267,22 @@ class _Evaluator:
 
     def count_witnesses(self, i, q, env, stop_at=None):
         """Number of distinct satisfying strategy tuples from state q,
-        where distinctness compares the functions computed from q on."""
+        where distinctness compares the functions computed from q on; the
+        count stops once it reaches stop_at."""
         f, (sub,) = self.nodes[i]
+        count = 0
         if stop_at == 0:
-            return True
+            return count
         choices = self.pool(q)
         if len(choices) ** len(f.vars) > self.budget:
             raise ResourceBudgetError("quantifier instantiation over budget")
-        count = 0
         env2 = dict(env)
         for tup in product(choices, repeat=len(f.vars)):
             env2.update(zip(f.vars, tup))
             if self.eval(sub, q, _freeze(env2)):
                 count += 1
-                if stop_at is not None and count >= stop_at:
-                    return True
-        if stop_at is not None:
-            return count >= stop_at
+                if count == stop_at:
+                    break
         return count
 
 

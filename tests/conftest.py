@@ -1,9 +1,11 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
+from gslmc import formula as fm
 from gslmc.cgs import Cgs
 
 # property tests draw a fixed sequence of examples: reruns are identical,
@@ -23,6 +25,12 @@ def make_cgs(rng, n_states, n_agents, n_actions, atoms=("p",)):
         for dec in itertools.product(actions, repeat=n_agents):
             trans[(s, dec)] = rng.choice(states)
     return Cgs(frozenset(atoms), agents, actions, states, states[0], label, trans)
+
+
+def unpooled():
+    """A context in which the compiler takes one quantifier per block: the
+    per-quantifier reference that the pooled blocks are checked against."""
+    return mock.patch.object(fm, "strip_exists_block", lambda f: ([(f.vars, f.grade)], f.sub))
 
 
 @pytest.fixture

@@ -132,7 +132,7 @@ def test_criterion_2_duality():
 
 
 def test_criterion_3_graded_laws():
-    """Grade-0 truth, grade-1 distinctness-freeness, monotonicity, and the
+    """Grade-0 truth, grade 1 against the oracle, monotonicity, and the
     single-action collapse of grade 2."""
     rng = random.Random(20240819)
     toggle = load_cgs(TOGGLE)
@@ -144,17 +144,18 @@ def test_criterion_3_graded_laws():
         f = fm.ExistsGraded(("x",), fm.finite(0), parse(t, toggle.agents))
         assert check_sentence(f, toggle)[0] is True
 
-    # law 2: grade 1 equals the distinctness-free single-quantifier pipeline
-    for g in (toggle, single):
+    # law 2: grade 1, which builds no distinctness walker, gives the oracle's
+    # verdict: exact outright on single, and on toggle because a memoryless
+    # strategy decides X and F goals there, as in criterion 1's family B
+    for g, justification in ((toggle, "positional next and reachability"), (single, None)):
         for t in bodies:
             bind = "(a0,x)" if len(g.agents) == 1 else "(a0,x)(a1,x)"
             goal = t.split(" ", 1)[1]
             body = parse(f"{bind} {goal}", g.agents)
             f = fm.ExistsGraded(("x",), fm.finite(1), body)
-            assert (
-                check_sentence(f, g, mode="block")[0]
-                == check_sentence(f, g, mode="single")[0]
-            )
+            res = oracle_check(g, f, justification=justification)
+            assert res.confidence == EXACT
+            assert check_sentence(f, g)[0] == res.verdict, (t, g.agents)
 
     # law 3: verdicts are non-increasing in the grade over {0,1,2,3}
     models = [toggle, single, make_cgs(rng, 2, 1, 2)]

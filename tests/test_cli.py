@@ -17,7 +17,7 @@ from gslmc import automata, cli, compiler
 from gslmc import formula as fm
 from gslmc.cli import main
 
-from conftest import TOGGLE, SINGLE_ACTION
+from conftest import unpooled, TOGGLE, SINGLE_ACTION
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "examples_data")
@@ -517,7 +517,8 @@ class TestStatsAndStages:
         ]
         cgs = cli._load_model(model)
         f = fm.parse_formula(text, set(cgs.agents))
-        assert compiler.check_sentence(f, cgs, mode="single")[0] is False
+        with unpooled():
+            assert compiler.check_sentence(f, cgs)[0] is False
 
 
 def constant_machine():

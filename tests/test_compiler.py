@@ -23,7 +23,7 @@ from gslmc.compiler import check_sentence, check_assignment
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 from gslmc.oracle import oracle_check, EXACT
 
-from conftest import make_cgs, TOGGLE, SINGLE_ACTION
+from conftest import make_cgs, unpooled, TOGGLE, SINGLE_ACTION
 
 
 def parse(text, agents):
@@ -108,28 +108,31 @@ class TestAssignmentChecking:
 
 class TestModesAndStages:
     def test_block_and_single_modes_agree(self, toggle):
+        # each sentence pools two quantifiers into one block, so the
+        # per-quantifier reference finishes one stage more
         texts = [
-            "<<x>>^>=1 (a0,x) X p",
-            "<<x>>^>=2 (a0,x) F p",
-            "[[x]]^<2 (a0,x) X p",
             "<<x>>^>=1 <<y>>^>=1 ((a0,x) X p || (a0,y) X !p)",
+            "<<x>>^>=2 !!<<y>>^>=1 ((a0,x) F p || (a0,y) X p)",
+            "[[x]]^<2 [[y]]^<1 ((a0,x) X p || (a0,y) X !p)",
         ]
         for t in texts:
             f = parse(t, toggle.agents)
-            v_block = check_sentence(f, toggle, mode="block")[0]
-            v_single = check_sentence(f, toggle, mode="single")[0]
+            v_block, block = check_sentence(f, toggle)
+            with unpooled():
+                v_single, single = check_sentence(f, toggle)
             assert v_block == v_single, t
+            assert (len(block.stages), len(single.stages)) == (1, 2), t
 
     def test_pooled_block_removes_alternation_once(self, toggle):
         f = parse("<<x,y>>^>=1 ((a0,x) X p || (a0,y) X !p)", toggle.agents)
-        _, ctx = check_sentence(f, toggle, mode="block")
+        _, ctx = check_sentence(f, toggle)
         assert len(ctx.stages) == 1
         assert ctx.stage_count() == 1
 
     def test_nested_blocks_count_by_depth(self, single):
         # existential block around a universal block: two nested removals
         f = parse("<<x>>^>=1 [[y]]^<1 ((a0,x)(a1,y) X p)", single.agents)
-        _, ctx = check_sentence(f, single, mode="block")
+        _, ctx = check_sentence(f, single)
         assert ctx.stage_count() == 2
 
     def test_infinite_grade_rejected(self, toggle):
@@ -241,10 +244,10 @@ def graded_bodies(draw, models):
     return g, formula_text(draw, g.agents, 3, ["x"]), draw(st.integers(0, 1))
 
 
-def check_within_budget(g, f, mode):
+def check_within_budget(g, f):
     """(verdict, context), or None when the check stops on the budget."""
     try:
-        return check_sentence(f, g, mode=mode, budget=3000)
+        return check_sentence(f, g, budget=3000)
     except ResourceBudgetError:
         return None
 
@@ -266,7 +269,9 @@ def check_property(prop, cases):
 
 def test_block_and_single_modes_agree_and_pool():
     def prop(g, f):
-        block, single = (check_within_budget(g, f, mode) for mode in ("block", "single"))
+        block = check_within_budget(g, f)
+        with unpooled():
+            single = check_within_budget(g, f)
         if block is None or single is None:
             return False
         assert block[0] == single[0]
@@ -292,7 +297,7 @@ def test_negation_complements_the_verdict():
     # is vacuous, since the sentence !f does not read the agent
     def prop(g, f):
         neg = fm.Bind(g.agents[0], "z", fm.Not(f))
-        pos, neg = (check_within_budget(g, h, "block") for h in (f, neg))
+        pos, neg = (check_within_budget(g, h) for h in (f, neg))
         if pos is None or neg is None:
             return False
         assert neg[0] == (not pos[0])
@@ -313,7 +318,7 @@ def boolean_combinations(draw, models):
 
 def agrees_with_the_exact_oracle(g, f):
     # with one action the oracle's memory-1 enumeration is exact
-    got = check_within_budget(g, f, "block")
+    got = check_within_budget(g, f)
     if got is None:
         return False
     res = oracle_check(g, f)
@@ -335,7 +340,7 @@ def test_grades_are_monotone():
     # at least g + 1 witnesses include at least g
     def prop(g, body, grade):
         more, fewer = (
-            check_within_budget(g, fm.ExistsGraded(("x",), fm.finite(k), body), "block")
+            check_within_budget(g, fm.ExistsGraded(("x",), fm.finite(k), body))
             for k in (grade + 1, grade)
         )
         if more is None or fewer is None:

@@ -241,6 +241,25 @@ class TestFragment:
             f = parse("".join(parts) + "(a,x0) X p", AG)
             assert fm.quantifier_block_rank(f) <= fm.quantifier_rank(f)
 
+    @pytest.mark.parametrize(
+        "text, nested_goal, one_goal, finite",
+        [
+            # the inner block leaves the agent free
+            ("<<z>> (a0,z) <<x>> X p", False, False, True),
+            ("p || <<z>> (a0,z) <<x>> X p", False, False, True),
+            # a goal that does not bind every agent at once
+            ("<<x>> ((a0,x) X p || (a0,x) X !p)", True, False, True),
+            ("<<x>> (a0,x) (p || (a0,x) X p)", True, False, True),
+            ("p || <<x>> ((a0,x) X p || (a0,x) X !p)", True, False, True),
+            ("p || <<x>>^>=aleph0 (a0,x) X p", True, True, False),
+        ],
+    )
+    def test_fragment_rejections(self, text, nested_goal, one_goal, finite):
+        r = fm.analyze_fragment(parse(text, {"a0"}), {"a0"})
+        assert r.is_sentence
+        assert (r.is_nested_goal, r.is_one_goal, r.grades_all_finite) == (
+            nested_goal, one_goal, finite)
+
     def test_sentencehood_gates_nested_goal(self):
         f = parse("(a,x) X p", AG)
         r = fm.analyze_fragment(f, AG)

@@ -59,6 +59,21 @@ class TestExamples:
         assert win[0] == VERIFIER
         assert strat[0] == 1
 
+    def test_verify_strategy_rejects_each_way_a_strategy_can_fail(self):
+        # Verifier owns 0 and 1, Refuter 2 and 3; 1 and 2 have priority 0
+        g = ParityGame([VERIFIER, VERIFIER, REFUTER, REFUTER], [1, 0, 0, 1],
+                       [[0, 1], [1], [2, 3], [3]])
+        region = [True, True, False, False]
+        assert verify_strategy(g, region, VERIFIER, [1, 1, -1, -1])
+        # 3 is not a successor of 0
+        assert not verify_strategy(g, region, VERIFIER, [3, 1, -1, -1])
+        # the move 0 -> 1 leaves the region {0}
+        assert not verify_strategy(g, [True, False, False, False], VERIFIER, [1, 1, -1, -1])
+        # Refuter escapes from the region {2} to 3
+        assert not verify_strategy(g, [False, False, True, False], VERIFIER, [1, 1, -1, -1])
+        # the loop at 0 has the odd priority 1
+        assert not verify_strategy(g, region, VERIFIER, [0, 1, -1, -1])
+
 
 def assert_solved(game):
     """Zielonka's regions equal the fixpoint solver's, and both players'
