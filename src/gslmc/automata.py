@@ -228,9 +228,10 @@ def membership_game(a, tree):
 
     Positions are (generator node, state) pairs expanded through the
     transition formula's structure; Verifier owns disjunctions, Refuter
-    conjunctions.  Returns (game, index of the initial position).  The tree
-    must be total over a's directions and labeled from a's alphabet, as
-    every encoding_tree is.
+    conjunctions, and an atom (d, q) is the position of q at the d-child.
+    Returns (game, index of the initial position).  The tree must be total
+    over a's directions and labeled from a's alphabet, as every
+    encoding_tree is.
     """
     build = _GameBuilder(a, tree)
     at = {letter: i for i, letter in enumerate(a.alphabet)}
@@ -273,6 +274,9 @@ class _GameBuilder:
         return idx
 
     def formula_pos(self, node, f):
+        if f[0] == "a":  # an atom moves straight to its state position
+            d, q2 = f[1]
+            return self.state_pos(self.tree.child(node, d), q2)
         key = ("f", node, f)
         idx = self.positions.get(key)
         if idx is not None:
@@ -281,10 +285,6 @@ class _GameBuilder:
             # a self-loop: even priority, Verifier wins; odd, Verifier loses
             idx = self.add(key, VERIFIER, 0 if f == pb.TRUE else 1)
             self.succs[idx].append(idx)
-        elif f[0] == "a":
-            d, q2 = f[1]
-            idx = self.add(key, VERIFIER, self.neutral)
-            self.succs[idx].append(self.state_pos(self.tree.child(node, d), q2))
         else:
             idx = self.add(key, VERIFIER if f[0] == "|" else 1 - VERIFIER, self.neutral)
             self.succs[idx].extend([self.formula_pos(node, k) for k in f[1]])

@@ -25,17 +25,17 @@ bits [i * n, (i + 1) * n) for n input states, is the successor set of
 active[i].  The `slots` of active, {1 << active[i]: i * n}, locate the slice
 of each active state.
 
-Of the transition choices of a set of active states, the exploration reads
-only their number, for the work budget, and their distinct edge relations
-in first-use order; both are found per direction from each active state's
-distinct slices, without listing the choices.  The choices themselves, one
-edge relation per direction, are listed only for output transitions, which
-are built from them in posbool's normal form.  Compact Safra charges all
-its work in a first pass, before any output transition, so a stop there
-lists no choices unless it is the state budget's stop in the second pass.
-The breakpoint construction builds each state's transitions as it explores
-the state, so a stop there comes after the choices of the states explored
-before it are listed.
+Both constructions run the same two passes (_Build.run) and differ only in
+their word states, breakpoint pairs or Safra trees, and in how one steps.
+The first pass explores the word states and charges all the work and the
+word-state budget.  Of the transition choices of a set of active states,
+it reads only their number, for the work budget, and their distinct edge
+relations in first-use order; both are found per direction from each
+active state's distinct slices, without listing the choices.  The output
+states, (word state, priority) pairs, are then counted against the state
+budget.  Only the second pass lists the choices, one edge relation per
+direction, and builds the output transitions from them in posbool's normal
+form.  So no budget stop comes after a transition is built.
 """
 
 from itertools import count
@@ -219,8 +219,8 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     larger.  An input that is an NPT by syntax (automata.is_npt) passes
     through unchanged.  An input whose priorities lie in {0, 1} goes
     through the breakpoint construction, every other input through compact
-    Safra trees, and only their output is simplified.  Projection relies on the NPT shape of the
-    result (automata.project).
+    Safra trees, and only their output is simplified.  Projection relies on
+    the NPT shape of the result (automata.project).
     Raises ResourceBudgetError, besides simplify's own state-budget stop,
     when
       - one choice key, (active states, class id of each one's transition
@@ -233,10 +233,11 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
       - the minimal models of the input's transitions, computed once per
         distinct formula, take more than 20 * `budget` candidate models and
         subset tests in all, or
-      - the construction reaches more than `budget` Safra trees, or more
-        than `budget` states.
+      - the construction reaches more than `budget` word states (Safra
+        trees or breakpoint states), or its output would have more than
+        `budget` states.
 
-    Every repeated object (transition formula, choice key, Safra tree, edge
+    Every repeated object (transition formula, choice key, word state, edge
     relation, state) is interned to a small integer id, assigned in
     discovery order.  Discovery follows the exploration order, which meets
     transition choices in the order of their minimal models, and so the
@@ -258,30 +259,29 @@ def breakpoint_construction(a, budget):
     not simplified.
 
     A trace is good iff it visits priority 0 (the set F0) infinitely often.
-    A state (S, O) holds the states S active on the branch and those O whose
-    traces owe a visit to F0 since the last breakpoint, a step where O was
-    empty.  A branch is good iff it passes breakpoints infinitely often, so
-    O = {} has priority 0 and every other state 1.  Without priority 0 the
-    construction is the plain subset construction.
+    A word state (S, O) holds the states S active on the branch and those O
+    whose traces owe a visit to F0 since the last breakpoint, a step where O
+    was empty.  A branch is good iff it passes breakpoints infinitely often,
+    so O = {} has priority 0 and every other state 1.  Without priority 0
+    the construction is the plain subset construction.
     """
     f0 = sum(1 << q for q, p in enumerate(a.priority) if p == 0)
     full = (1 << a.n_states) - 1
     build = _Build(a, budget)
-    start = 1 << a.initial
-    init = build.state((start, start & ~f0))
-    while build.todo:
-        key = build.todo.pop()
-        active = members(key[0])
+
+    def expand(state):
+        active = members(state[0])
         slot = slots(active, a.n_states)
-        # choices are taken lazily, so each letter's work is charged before
-        # the states it reaches are made, and the budget stops keep their order
-        build.row(
-            build.states[key], (build.choices(active, i) for i in range(len(a.alphabet))),
-            lambda e: build.state(breakpoint_step(key, build.edge_of[e], slot, full, f0)),
-        )
-    # build.states lists the states in id order
-    priority = tuple([1 if o else 0 for _s, o in build.states])
-    return Apt(a.alphabet, a.directions, init, build.trans, priority)
+
+        def step(e):
+            state2 = breakpoint_step(state, build.edge_of[e], slot, full, f0)
+            return state2, 1 if state2[1] else 0
+
+        return active, step
+
+    start = 1 << a.initial
+    init = (start, start & ~f0)
+    return build.run(init, 1 if init[1] else 0, expand, sink=False)
 
 
 def breakpoint_step(state, rel, slot, full, f0):
@@ -295,83 +295,44 @@ def breakpoint_step(state, rel, slot, full, f0):
 
 def safra_construction(a, budget):
     """Compact Safra trees for a simplified, not nondeterministic automaton;
-    the result is not simplified."""
+    the result is not simplified.
+
+    A word state is a tree; the output priority of a step is its Safra
+    priority plus one, since a branch is good exactly when the bad-trace
+    automaton rejects.  A step that empties the tree leaves no obligation
+    and goes to the accept-all sink.
+    """
     build = _Build(a, budget)
-    # pass 1: reachable trees and their per-edge-relation step results; all
-    # the work is charged here, before pass 2 builds any output transition
     nbw = BadTraceNbw(a.priority)
     # above twice the states ('i', q) and ('g', q, r) of nbw, which bound the
     # nodes of a tree
     neutral = 2 * nbw.n * (1 + len(nbw.odd)) + 1
-    t0 = safra_initial(1 << a.initial)  # ('i', initial state)
-    tree_ids = {t0: 0}
-    tree_of = [t0]
-    choice = {}  # tree id -> its choice id per letter
-    steps = {}  # tree id -> {edge id: (successor tree id | None, step priority)}
-    frontier = [0]
     post = nbw.post
     # active states -> {(label, edge id): post of the label}: post reads the
     # relation through the slots, and they depend only on the active states
     posts = {}
-    while frontier:
-        tid = frontier.pop()
-        tree = tree_of[tid]
+
+    def expand(tree):
         # the root holds ('i', q) for every active state q
         active = members(tree[1] & nbw.full)
         slot = slots(active, a.n_states)
         memo = posts.setdefault(active, {})
         shape, labels = safra_sprout(tree, nbw, neutral)
-        tchoice = choice[tid] = []
-        tsteps = steps[tid] = {}
         # edge relations with equal images of every label step alike
         by_images = {}
-        seen = set()
-        for i in range(len(a.alphabet)):
-            c = build.choices(active, i)
-            tchoice.append(c)
-            if c in seen:
-                continue
-            seen.add(c)
-            # edge ids in first-use order, so new trees are found in the
-            # order the (combination, direction) scan would meet them
-            for e in build.choice_of[c][1]:
-                if e in tsteps:
-                    continue
-                images = _label_images(post, labels, e, build.edge_of[e], slot, memo)
-                step = by_images.get(images)
-                if step is None:
-                    t2, prio = safra_step(shape, images, neutral)
-                    t2id = None
-                    if t2 is not None:
-                        known = len(tree_of)
-                        t2id = _intern(tree_ids, tree_of, t2)
-                        if t2id == known:  # a new tree
-                            frontier.append(t2id)
-                            build.check_size(len(tree_of))
-                    step = by_images[images] = (t2id, prio)
-                tsteps[e] = step
 
-    # pass 2: a state is (tree id, priority of the step into it plus one,
-    # since a branch is good exactly when the bad-trace automaton rejects);
-    # the accept-all state for branches with no tracked obligations has its
-    # row set here: it is not queued
-    sink = build.states["sink"] = 0
-    loop = pb.conj([pb.atom((d, sink)) for d in a.directions])
-    build.trans.append((loop,) * len(a.alphabet))
-    init = build.state((0, neutral + 1))
-    while build.todo:
-        key = build.todo.pop()
-        tid = key[0]
-        tsteps = steps[tid]
+        def step(e):
+            images = _label_images(post, labels, e, build.edge_of[e], slot, memo)
+            out = by_images.get(images)
+            if out is None:
+                tree2, prio = safra_step(shape, images, neutral)
+                out = by_images[images] = (tree2, prio + 1)
+            return out
 
-        def target(e):
-            t2id, prio = tsteps[e]
-            return sink if t2id is None else build.state((t2id, prio + 1))
+        return active, step
 
-        build.row(build.states[key], choice[tid], target)
-    # build.states lists the states in id order, the sink first
-    priority = tuple([2 if key == "sink" else key[1] for key in build.states])
-    return Apt(a.alphabet, a.directions, init, build.trans, priority)
+    # ('i', initial state)
+    return build.run(safra_initial(1 << a.initial), neutral + 1, expand, sink=True)
 
 
 def _label_images(post, labels, e, rel, slot, memo):
@@ -398,9 +359,16 @@ def _intern(ids, objs, x):
 
 
 class _Build:
-    """What both constructions share: the transition choices of the input's
-    active-state sets, the output states and their rows of transitions, with
-    the budget stops.
+    """Both constructions' two passes: the transition choices of the input's
+    active-state sets, the exploration of word states, and the output states
+    with their rows of transitions, with the budget stops.
+
+    A construction names its word states (breakpoint pairs or Safra trees)
+    and hands `run` the initial one, its output priority and
+    expand(word) -> (active states, step), where step(edge id) gives the
+    successor word state, or None for the accept-all sink, and the output
+    priority of the step.  An output state is a key (word id, output
+    priority), or "sink".
 
     Choices are keyed by transition class, not by letter: each input
     transition formula is interned to a class id, and the choices of active
@@ -408,13 +376,11 @@ class _Build:
     each one's transition on the letter).  Many letters share a key, and so
     its choice id and, per output state, its output transition.  A key
     records its combination count and its edge relations in first-use
-    order, all that the exploration reads; its choice rows, one edge id per
-    direction for every combination, are built on the first output
-    transition that needs them: by compact Safra only in its second pass,
-    and by the breakpoint construction as it explores each state.  States
-    are interned from hashable keys to ids in discovery order; a new key is
-    pushed on `todo` and reserves the state's row in `trans`, which `row`
-    fills.  Letters are named by their index in the input's alphabet.  Edge
+    order, all that the first pass reads; its choice rows, one edge id per
+    direction for every combination, are built by the second pass, on the
+    first output transition that needs them.  So every budget stop comes
+    before any row is built.  Objects are interned to ids in discovery
+    order.  Letters are named by their index in the input's alphabet.  Edge
     relations are interned to ids, `edge_of[e]` being relation e.  A
     relation is read against the active states of the key that built it;
     one int built for two keys shares an id, and each user reads it against
@@ -439,7 +405,7 @@ class _Build:
         self.choice_of = []
         self.choice_rows = {}  # choice id -> its rows, once an output transition needs them
         self.work = 0
-        self.states = {}
+        self.states = {}  # output state key -> id
         self.todo = []
         self.trans = []  # the output rows, one per state, in state order
         self.conjs = {}  # targets in sorted-direction order -> conjunction of their moves
@@ -451,13 +417,85 @@ class _Build:
                 f"determinization exceeds the state budget ({self.budget})"
             )
 
+    def run(self, initial, priority, expand, sink):
+        """The output automaton from the initial word state and its output
+        priority; with sink, the accept-all sink is state 0.
+
+        Pass 1 explores the word states, in depth-first order, and charges
+        all the work and the word-state budget: per word state it takes
+        the choice id of each letter and steps each edge id of a new choice
+        once, in the edges' first-use order, so new word states are found in
+        the order the (choice, direction) scan would meet them.  The output
+        states are then counted against the state budget, before pass 2
+        builds them in the same order, with their rows.
+        """
+        word_ids = {initial: 0}
+        # word id -> (its choice id per letter, {edge id: (successor word id
+        # or None, output priority)})
+        explored = {}
+        outs = {}  # each distinct (successor word id or None, output priority), shared
+        frontier = [(0, initial)]
+        while frontier:
+            w, word = frontier.pop()
+            active, step = expand(word)
+            wchoice, wsteps = explored[w] = [], {}
+            seen = set()
+            for i in range(len(self.a.alphabet)):
+                c = self.choices(active, i)
+                wchoice.append(c)
+                if c in seen:
+                    continue
+                seen.add(c)
+                for e in self.choice_of[c][1]:
+                    if e in wsteps:
+                        continue
+                    word2, prio = step(e)
+                    w2 = word_ids.get(word2)
+                    if w2 is None and word2 is not None:  # a new word state
+                        w2 = word_ids[word2] = len(word_ids)
+                        frontier.append((w2, word2))
+                        self.check_size(len(word_ids))
+                    wsteps[e] = outs.setdefault((w2, prio), (w2, prio))
+        # pass 2 reaches the initial output state and the one of every step
+        self.check_size(sum(w2 is not None for w2, _ in outs)
+                        + ((0, priority) not in outs) + sink)
+
+        if sink:  # its row is set here: it is not queued
+            self.states["sink"] = 0
+            loop = pb.conj([pb.atom((d, 0)) for d in self.a.directions])
+            self.trans.append((loop,) * len(self.a.alphabet))
+        init = self.state((0, priority))
+        while self.todo:
+            key = self.todo.pop()
+            wchoice, wsteps = explored[key[0]]
+            out = {}  # choice id -> the transition on its letters
+            row = []
+            for c in wchoice:
+                f = out.get(c)
+                if f is None:
+                    _, edges, per_state = self.choice_of[c]
+                    rows = self.choice_rows.get(c)
+                    if rows is None:
+                        rows = self.choice_rows[c] = _choice_rows(
+                            self.dirs, self.a.n_states, per_state, self.edge_ids)
+                    # the sink, if a step has no successor word state
+                    f = out[c] = self.formula(rows, {
+                        e: 0 if wsteps[e][0] is None else self.state(wsteps[e])
+                        for e in edges})
+                row.append(f)
+            self.trans[self.states[key]] = tuple(row)
+        # self.states lists the states in id order, the sink first
+        prio = tuple([2 if key == "sink" else key[1] for key in self.states])
+        return Apt(self.a.alphabet, self.a.directions, init, self.trans, prio)
+
     def state(self, key):
+        """The id of the output state key; a new key is pushed on `todo`
+        and reserves the state's row in `trans`."""
         idx = self.states.get(key)
         if idx is None:
             idx = self.states[key] = len(self.states)
             self.todo.append(key)
             self.trans.append(None)
-            self.check_size(len(self.states))
         return idx
 
     def transition_class(self, q, i):
@@ -493,30 +531,6 @@ class _Build:
                 f"determinization work exceeds the budget ({self.budget})"
             )
         return c
-
-    def row(self, me, choices, target):
-        """Fill state me's row from the choice id of each letter, in
-        alphabet order.
-
-        The transition of a choice id is built once, and every letter of
-        that id gets the same formula.  target(e) is the output state
-        reached along edge relation e; it is called once per edge, in the
-        edges' first-use order, so new states get the numbers the
-        (choice, direction) scan would give them.
-        """
-        out = {}  # choice id -> the transition on its letters
-        row = []
-        for c in choices:
-            f = out.get(c)
-            if f is None:
-                _, edges, per_state = self.choice_of[c]
-                rows = self.choice_rows.get(c)
-                if rows is None:
-                    rows = self.choice_rows[c] = _choice_rows(self.dirs, self.a.n_states,
-                                                              per_state, self.edge_ids)
-                f = out[c] = self.formula(rows, {e: target(e) for e in edges})
-            row.append(f)
-        self.trans[me] = tuple(row)
 
     def formula(self, rows, target):
         """The disjunction over rows of the conjunction of the moves

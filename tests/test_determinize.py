@@ -447,6 +447,50 @@ class TestNondeterminize:
             for _ in range(50):
                 nondeterminize(random_apt(rng2, max_states=4), budget=3)
 
+    def test_budget_stops_come_before_any_row(self, monkeypatch):
+        # both constructions charge every budget in their first pass, so a
+        # stop has built no choice rows; this holds also for a state-budget
+        # stop whose word states fit the budget but whose output states,
+        # (word state, priority) pairs, do not
+        builds = []
+
+        class Recording(determinize._Build):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.expanded = 0
+                builds.append(self)
+
+            def run(self, initial, priority, expand, sink):
+                def counted(word):
+                    self.expanded += 1
+                    return expand(word)
+
+                return super().run(initial, priority, counted, sink)
+
+        monkeypatch.setattr(determinize, "_Build", Recording)
+        rng = random.Random(41)
+        stops = {breakpoint_construction: 0, safra_construction: 0}
+        safra_output_stops = 0
+        for _ in range(30):
+            a = simplify(random_apt(rng, max_states=4, max_pr=rng.choice([2, 3, 4]),
+                                    alpha=(0, 1, 2), dirs=(0, 1, 2)), DEFAULT_BUDGET)
+            if is_npt(a):
+                continue
+            bp = set(a.priority) <= {0, 1}
+            construction = breakpoint_construction if bp else safra_construction
+            construction(a, DEFAULT_BUDGET)
+            words = builds[-1].expanded
+            for budget in range(2, 65):
+                try:
+                    construction(a, budget)
+                except ResourceBudgetError as e:
+                    assert builds[-1].choice_rows == {}
+                    stops[construction] += 1
+                    safra_output_stops += (construction is safra_construction
+                                           and "state budget" in str(e) and words <= budget)
+        assert min(stops.values()) > 0
+        assert safra_output_stops > 0
+
 
 class TestSharedLetters:
     """Letters whose transitions are equal share their choices and output
