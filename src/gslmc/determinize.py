@@ -33,16 +33,22 @@ it reads only their number, for the work budget, and their distinct edge
 relations in first-use order; both are found per direction from each
 active state's distinct slices, without listing the choices.  The output
 states, (word state, priority) pairs, are then counted against the state
-budget.  Only the second pass lists the choices, one edge relation per
-direction, and builds the output transitions from them in posbool's normal
-form.  So no budget stop comes after a transition is built.
+budget, with the accept-all sink only when a step reaches it.  Only the
+second pass lists the choices, one edge relation per direction, and builds
+the output rows from them.  So no budget stop comes after a row is built.
+A row holds, per letter, the id of a target set: the distinct tuples of the
+targets of the transition's conjunctions, one per direction, sorted.  The
+output is simplified on these integer rows, as automata.simplify would
+simplify it: states with equal priority and row merge until none do, and
+only then is each distinct target set built once into a formula in
+posbool's normal form, which is a canonical function of the target set.
 """
 
 from itertools import count
 from math import prod
 
 from gslmc import posbool as pb
-from gslmc.automata import Apt, is_npt, simplify
+from gslmc.automata import Apt, compress_priorities, is_npt
 from gslmc.errors import ResourceBudgetError
 
 DEFAULT_BUDGET = 100_000
@@ -219,10 +225,10 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     larger.  An input that is an NPT by syntax (automata.is_npt) passes
     through unchanged.  An input whose priorities lie in {0, 1} goes
     through the breakpoint construction, every other input through compact
-    Safra trees, and only their output is simplified.  Projection relies on
-    the NPT shape of the result (automata.project).
-    Raises ResourceBudgetError, besides simplify's own state-budget stop,
-    when
+    Safra trees, and each construction simplifies its own output on integer
+    rows (_Build.quotient).  Projection relies on the NPT shape of the
+    result (automata.project).
+    Raises ResourceBudgetError when
       - one choice key, (active states, class id of each one's transition
         on a letter), has more than `budget` transition-choice
         combinations, or its edge relations, a slice of n input states
@@ -235,7 +241,8 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
         subset tests in all, or
       - the construction reaches more than `budget` word states (Safra
         trees or breakpoint states), or its output would have more than
-        `budget` states.
+        `budget` states before they merge (the accept-all sink counts only
+        when a step reaches it).
 
     Every repeated object (transition formula, choice key, word state, edge
     relation, state) is interned to a small integer id, assigned in
@@ -247,16 +254,14 @@ def nondeterminize(a, budget=DEFAULT_BUDGET):
     if is_npt(a):
         return a
     if set(a.priority) <= {0, 1}:
-        out = breakpoint_construction(a, budget)
-    else:
-        out = safra_construction(a, budget)
-    return simplify(out, budget=budget)
+        return breakpoint_construction(a, budget)
+    return safra_construction(a, budget)
 
 
 def breakpoint_construction(a, budget):
     """Miyano-Hayashi breakpoint construction for a simplified, not
     nondeterministic automaton whose priorities lie in {0, 1}; the result is
-    not simplified.
+    simplified.
 
     A trace is good iff it visits priority 0 (the set F0) infinitely often.
     A word state (S, O) holds the states S active on the branch and those O
@@ -281,7 +286,7 @@ def breakpoint_construction(a, budget):
 
     start = 1 << a.initial
     init = (start, start & ~f0)
-    return build.run(init, 1 if init[1] else 0, expand, sink=False)
+    return build.run(init, 1 if init[1] else 0, expand)
 
 
 def breakpoint_step(state, rel, slot, full, f0):
@@ -295,7 +300,7 @@ def breakpoint_step(state, rel, slot, full, f0):
 
 def safra_construction(a, budget):
     """Compact Safra trees for a simplified, not nondeterministic automaton;
-    the result is not simplified.
+    the result is simplified.
 
     A word state is a tree; the output priority of a step is its Safra
     priority plus one, since a branch is good exactly when the bad-trace
@@ -332,7 +337,7 @@ def safra_construction(a, budget):
         return active, step
 
     # ('i', initial state)
-    return build.run(safra_initial(1 << a.initial), neutral + 1, expand, sink=True)
+    return build.run(safra_initial(1 << a.initial), neutral + 1, expand)
 
 
 def _label_images(post, labels, e, rel, slot, memo):
@@ -385,6 +390,13 @@ class _Build:
     relation is read against the active states of the key that built it;
     one int built for two keys shares an id, and each user reads it against
     its own key.
+
+    The second pass writes each output transition as the id of its target
+    set (see formula), so the rows in `trans` are tuples of ints.  `quotient`
+    merges the output states on these rows, as automata.simplify would, and
+    only then builds each distinct target set's formula once (set_formula).
+    The output needs no reachability pass: every state the second pass
+    makes is reached, and the sink is made only when a step reaches it.
     """
 
     def __init__(self, a, budget):
@@ -407,9 +419,14 @@ class _Build:
         self.work = 0
         self.states = {}  # output state key -> id
         self.todo = []
-        self.trans = []  # the output rows, one per state, in state order
-        self.conjs = {}  # targets in sorted-direction order -> conjunction of their moves
-        self.disjs = {}  # distinct sorted target tuples -> disjunction of their conjunctions
+        self.trans = []  # the output rows of target-set ids, one per state, in state order
+        # a target set: the distinct tuples of a transition's targets, in
+        # sorted-direction order, sorted
+        self.set_ids = {}
+        self.sets = []
+        self.atoms = {}  # move -> its atom
+        self.conjs = {}  # target tuple -> the conjunction of its moves
+        self.disjs = {}  # target-set id -> its formula, the disjunction of its conjunctions
 
     def check_size(self, n):
         if n > self.budget:
@@ -417,9 +434,9 @@ class _Build:
                 f"determinization exceeds the state budget ({self.budget})"
             )
 
-    def run(self, initial, priority, expand, sink):
+    def run(self, initial, priority, expand):
         """The output automaton from the initial word state and its output
-        priority; with sink, the accept-all sink is state 0.
+        priority; the accept-all sink, if a step reaches it, is state 0.
 
         Pass 1 explores the word states, in depth-first order, and charges
         all the work and the word-state budget: per word state it takes
@@ -427,7 +444,8 @@ class _Build:
         once, in the edges' first-use order, so new word states are found in
         the order the (choice, direction) scan would meet them.  The output
         states are then counted against the state budget, before pass 2
-        builds them in the same order, with their rows.
+        builds them in the same order, with their rows, and `quotient`
+        simplifies the result.
         """
         word_ids = {initial: 0}
         # word id -> (its choice id per letter, {edge id: (successor word id
@@ -456,37 +474,42 @@ class _Build:
                         frontier.append((w2, word2))
                         self.check_size(len(word_ids))
                     wsteps[e] = outs.setdefault((w2, prio), (w2, prio))
-        # pass 2 reaches the initial output state and the one of every step
+        # pass 2 reaches the initial output state, the one of every step and,
+        # if a step reaches it (only a Safra step can), the sink
+        sink = any(w2 is None for w2, _ in outs)
         self.check_size(sum(w2 is not None for w2, _ in outs)
                         + ((0, priority) not in outs) + sink)
 
         if sink:  # its row is set here: it is not queued
             self.states["sink"] = 0
-            loop = pb.conj([pb.atom((d, 0)) for d in self.a.directions])
+            loop = self.target_set([(0,) * len(self.dirs)])
             self.trans.append((loop,) * len(self.a.alphabet))
         init = self.state((0, priority))
         while self.todo:
             key = self.todo.pop()
             wchoice, wsteps = explored[key[0]]
-            out = {}  # choice id -> the transition on its letters
+            out = {}  # choice id -> the target-set id on its letters
             row = []
             for c in wchoice:
-                f = out.get(c)
-                if f is None:
+                s = out.get(c)
+                if s is None:
                     _, edges, per_state = self.choice_of[c]
                     rows = self.choice_rows.get(c)
                     if rows is None:
                         rows = self.choice_rows[c] = _choice_rows(
                             self.dirs, self.a.n_states, per_state, self.edge_ids)
                     # the sink, if a step has no successor word state
-                    f = out[c] = self.formula(rows, {
+                    s = out[c] = self.formula(rows, {
                         e: 0 if wsteps[e][0] is None else self.state(wsteps[e])
                         for e in edges})
-                row.append(f)
+                row.append(s)
             self.trans[self.states[key]] = tuple(row)
         # self.states lists the states in id order, the sink first
-        prio = tuple([2 if key == "sink" else key[1] for key in self.states])
-        return Apt(self.a.alphabet, self.a.directions, init, self.trans, prio)
+        prio = [2 if key == "sink" else key[1] for key in self.states]
+        # freed before the formulas are built, which then reuse their memory:
+        # the desk3-reach benchmark peaked 0.5 MB higher without this
+        del explored, outs, word_ids, wchoice, wsteps
+        return self.quotient(init, prio)
 
     def state(self, key):
         """The id of the output state key; a new key is pushed on `todo`
@@ -533,24 +556,67 @@ class _Build:
         return c
 
     def formula(self, rows, target):
-        """The disjunction over rows of the conjunction of the moves
-        (d, target[edge id of d in the row]), built in posbool's normal
-        form.  A row holds its edge ids in sorted-direction order, and every
-        conjunction moves once along every direction, so conjunctions
-        compare as their target tuples in that order: the disjunction is
-        its distinct target tuples, sorted."""
-        tgts = tuple(sorted({tuple([target[e] for e in row]) for row in rows}))
-        f = self.disjs.get(tgts)
+        """The id of the transition over rows, interned as its target set:
+        the distinct tuples of the targets target[e] of each row's edge ids
+        e, sorted.  A row holds its edge ids in sorted-direction order;
+        set_formula builds the transition."""
+        return self.target_set(tuple([target[e] for e in row]) for row in rows)
+
+    def target_set(self, tgts):
+        """The id of the target set of the target tuples tgts: the distinct
+        ones, sorted."""
+        return _intern(self.set_ids, self.sets, tuple(sorted(set(tgts))))
+
+    def set_formula(self, s):
+        """The formula of target set s, in posbool's normal form: the
+        disjunction over its target tuples of the conjunction of the moves
+        (d, target) along the sorted directions d.  Every conjunction moves
+        once along every direction, so conjunctions compare as their target
+        tuples, and the sorted target set lists the disjuncts in order.
+        Each formula and conjunction is built once, with one atom object per
+        move."""
+        f = self.disjs.get(s)
         if f is None:
             disjuncts = []
-            for tgt in tgts:
+            for tgt in self.sets[s]:
                 g = self.conjs.get(tgt)
                 if g is None:
-                    g = self.conjs[tgt] = pb.presorted(
-                        "&", [pb.atom(move) for move in zip(self.dirs, tgt)])
+                    g = self.conjs[tgt] = pb.presorted("&", [
+                        self.atoms.get(m) or self.atoms.setdefault(m, pb.atom(m))
+                        for m in zip(self.dirs, tgt)])
                 disjuncts.append(g)
-            f = self.disjs[tgts] = pb.presorted("|", disjuncts)
+            f = self.disjs[s] = pb.presorted("|", disjuncts)
         return f
+
+    def quotient(self, initial, priority):
+        """The output automaton, simplified as automata.simplify would
+        simplify it, from the rows of target-set ids in `trans`.
+
+        Every state is reachable.  States whose (priority, row) are equal
+        merge into the first of them, and the states are renumbered
+        ascending, until nothing merges; then the priorities are
+        compressed.  A formula is a canonical function of its target set
+        (set_formula), so equal formulas are equal target sets, and renaming
+        the atoms of a formula and normalizing it is renaming the states of
+        its target set, deduplicating and sorting.  Only the final target
+        sets are built into formulas.
+        """
+        trans = self.trans
+        while True:
+            new = {}  # (priority, row) -> the state number of its first state
+            number = [new.setdefault(key, len(new)) for key in zip(priority, trans)]
+            if len(new) == len(trans):
+                break
+            renamed = {}  # target-set id -> the id of the renamed set
+            for s in {s for _, row in new for s in row}:
+                renamed[s] = self.target_set(
+                    tuple([number[q] for q in tgt]) for tgt in self.sets[s])
+            trans = [tuple([renamed[s] for s in row]) for _, row in new]
+            priority = [p for p, _ in new]
+            initial = number[initial]
+        trans = [tuple([self.set_formula(s) for s in row]) for row in trans]
+        return compress_priorities(
+            Apt(self.a.alphabet, self.a.directions, initial, trans, tuple(priority)))
 
 
 def _columns(models):

@@ -387,7 +387,7 @@ class TestChoicePieces:
                     for _ in range(rng.randint(0, 6))]
             want = pb.disj([pb.conj([pb.atom((d, target[e])) for d, e in zip(build.dirs, row)])
                             for row in rows])
-            assert build.formula(rows, target) == want
+            assert build.set_formula(build.formula(rows, target)) == want
 
     def test_memoised_images_equal_the_direct_ones(self, monkeypatch):
         rng = random.Random(71)
@@ -460,12 +460,12 @@ class TestNondeterminize:
                 self.expanded = 0
                 builds.append(self)
 
-            def run(self, initial, priority, expand, sink):
+            def run(self, initial, priority, expand):
                 def counted(word):
                     self.expanded += 1
                     return expand(word)
 
-                return super().run(initial, priority, counted, sink)
+                return super().run(initial, priority, counted)
 
         monkeypatch.setattr(determinize, "_Build", Recording)
         rng = random.Random(41)
@@ -490,6 +490,48 @@ class TestNondeterminize:
                                            and "state budget" in str(e) and words <= budget)
         assert min(stops.values()) > 0
         assert safra_output_stops > 0
+
+    def test_output_is_what_simplify_makes_of_the_construction(self, monkeypatch):
+        # each construction merges its output on rows of target-set ids; built
+        # into formulas before that merge, the same output must simplify to
+        # the same automaton, state numbering included.
+        # The state budget counts the states before the merge, the sink only
+        # when a step reaches it, so the output's own count is enough budget
+        unmerged = []
+
+        class Recording(determinize._Build):
+            def quotient(self, initial, priority):
+                trans = [tuple([self.set_formula(s) for s in row]) for row in self.trans]
+                unmerged.append((Apt(self.a.alphabet, self.a.directions, initial, trans,
+                                     tuple(priority)), "sink" in self.states))
+                return super().quotient(initial, priority)
+
+        monkeypatch.setattr(determinize, "_Build", Recording)
+        rng = random.Random(47)
+        seen = {breakpoint_construction: 0, safra_construction: 0}
+        merged = safra_without_sink = finished = 0
+        for _ in range(120):
+            a = simplify(random_apt(rng, max_states=4, max_pr=rng.choice([2, 3, 4]),
+                                    alpha=(0, 1, 2), dirs=rng.choice([(0,), (0, 1)])),
+                         DEFAULT_BUDGET)
+            if is_npt(a):
+                continue
+            out = nondeterminize(a)
+            raw, sink = unmerged[-1]
+            assert simplify(raw, DEFAULT_BUDGET) == out
+            try:
+                assert nondeterminize(a, raw.n_states) == out
+                finished += 1
+            except ResourceBudgetError as e:  # a choice key may be wider than that
+                assert "state budget" not in str(e)
+            safra = not set(a.priority) <= {0, 1}
+            seen[safra_construction if safra else breakpoint_construction] += 1
+            merged += out.n_states < raw.n_states
+            safra_without_sink += safra and not sink
+        assert min(seen.values()) >= 10
+        assert merged > 0
+        assert safra_without_sink > 0
+        assert finished >= 0.9 * sum(seen.values())
 
 
 class TestSharedLetters:
