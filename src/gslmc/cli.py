@@ -115,8 +115,8 @@ def _mem(v):
 
 
 def _print_stats(f, ctx):
-    """The --stats lines: the formula's quantifier ranks and the stages of
-    alternation removal that finished."""
+    """The --stats lines: the formula's quantifier ranks, the stages of
+    alternation removal that finished, and the witness searches tried."""
     print(f"quantifier-rank: {fm.quantifier_rank(f)}")
     print(f"quantifier-block-rank: {fm.quantifier_block_rank(f)}")
     print(f"nondeterminization-stages: {ctx.stage_count()}")
@@ -124,6 +124,11 @@ def _print_stats(f, ctx):
         print(
             f"stage {i}: nondeterminize depth={s['depth']} copies={s['copies']}"
             f" in={s['apt'].n_states} out={s['npt'].n_states}"
+        )
+    for r in ctx.searches:
+        print(
+            f"witness search: grade={r['grade']} tried={r['tried']}"
+            f" verified={len(r['witnesses'])} {r['outcome']}"
         )
 
 

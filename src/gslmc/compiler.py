@@ -9,6 +9,10 @@ and || of the formula itself, left to right with short circuit, and each
 other part by one membership test of the encoding of the assignment to the
 names it reads; for a sentence that is the structure's unwinding.
 
+A top-level part <<x>>^>=g phi is first tried on memoryless witnesses: g
+tuples that phi's automaton accepts prove it, and only a search that does
+not decide it goes on to the g-copy block.
+
 Graded quantifier blocks are eliminated by conjoining renamed copies of the
 body automaton with a pairwise-distinctness automaton, removing alternation
 once per block, and projecting the copy coordinates away existentially.
@@ -17,6 +21,7 @@ disjunction, X, U and each graded level, whose copies are joined at once.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from gslmc import posbool as pb
 from gslmc import formula as fm
@@ -35,6 +40,7 @@ from gslmc.automata import (
     relabel,
     simplify,
 )
+from gslmc.cgs import memoryless
 from gslmc.determinize import nondeterminize, DEFAULT_BUDGET
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
 
@@ -48,8 +54,13 @@ class CompilationContext:
     cgs: object
     budget: int = DEFAULT_BUDGET
     stages: list = field(default_factory=list, init=False)
+    # one record per top-level block the witness search was tried on
+    searches: list = field(default_factory=list, init=False)
     _depth: int = field(default=0, init=False)
     _alphabets: dict = field(default_factory=dict, init=False)
+    # printed searched body -> ((automaton, names read), the stages its
+    # compile made)
+    _bodies: dict = field(default_factory=dict, init=False)
 
     def alphabet(self, names):
         """All (valuation, state) letters over names; a ResourceBudgetError
@@ -100,14 +111,9 @@ def compile_formula(f, ctx):
     """Compile f in ctx; returns (automaton, names read).
 
     The automaton reads (valuation, state) letters where the valuation
-    covers exactly the returned names.  A budget stop carries ctx, so the
-    stages that finished before it can be reported.
+    covers exactly the returned names.
     """
-    try:
-        return _compile(f, ctx)
-    except ResourceBudgetError as e:
-        e.context = ctx
-        raise
+    return _compile(f, ctx)
 
 
 def check_sentence(f, cgs, budget=DEFAULT_BUDGET):
@@ -127,21 +133,125 @@ def check_assignment(f, cgs, assignment, budget=DEFAULT_BUDGET):
     if missing:
         raise ModelError(f"assignment misses free names: {sorted(missing)}")
     ctx = CompilationContext(cgs, budget=budget)
-    return _holds(f, ctx, assignment), ctx
+    try:
+        return _holds(f, ctx, assignment), ctx
+    except ResourceBudgetError as e:
+        # a stop carries ctx, so the stages that finished can be reported
+        e.context = ctx
+        raise
 
 
 def _holds(f, ctx, assignment):
     """Top-level ! and || are decided here, left to right with short circuit,
-    so a part that is skipped is never compiled; every other part is
-    compiled and checked on the encoding tree of the names it reads.  A
-    module-level function, not a closure, so a check's stages are freed when
-    it returns."""
+    so a part that is skipped is never compiled; a graded quantifier goes
+    to _graded, and every other part is compiled and checked on the
+    encoding tree of the names it reads.  A module-level function, not a
+    closure, so a check's stages are freed when it returns."""
     if isinstance(f, fm.Not):
         return not _holds(f.sub, ctx, assignment)
     if isinstance(f, fm.Or):
         return _holds(f.left, ctx, assignment) or _holds(f.right, ctx, assignment)
+    block, body = fm.strip_exists_block(f)
+    if len(block) == 1 and block[0][1].value >= 1:
+        return _graded(block, body, ctx, assignment)
     apt, names = compile_formula(f, ctx)
+    return _accepts(apt, names, ctx, assignment)
+
+
+def _accepts(apt, names, ctx, assignment):
     return member(apt, encoding_tree(ctx.cgs, {x: assignment[x] for x in names}))
+
+
+def _graded(block, body, ctx, assignment):
+    """A top-level <<x>>^>=g phi, g >= 1, whose block holds one quantifier.
+
+    phi is compiled as its block would compile it, once per check: a later
+    part with the same body lists its stages again without building them.
+    The witness search gets the first say, and the g-copy block is built on
+    the same automaton only when the search leaves the part undecided.
+    """
+    # keyed by the printed body, which walks one frame a level, where hashing
+    # the formula would take two
+    key = fm.print_formula(body)
+    if key in ctx._bodies:
+        compiled, stages = ctx._bodies[key]
+        ctx.stages.extend(stages)
+    else:
+        first = len(ctx.stages)
+        ctx._depth += 1
+        compiled = compile_formula(body, ctx)
+        ctx._depth -= 1
+        ctx._bodies[key] = (compiled, ctx.stages[first:])
+    verdict = _search_witnesses(block[0], *compiled, ctx, assignment)
+    if verdict is not None:
+        return verdict
+    return _accepts(*_block(block, body, ctx, compiled), ctx, assignment)
+
+
+def _reachable(cgs):
+    """The states reachable from the initial state, in the order of states."""
+    seen = {cgs.initial}
+    frontier = [cgs.initial]
+    while frontier:
+        for s in cgs.successors(frontier.pop()):
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return [q for q in cgs.states if q in seen]
+
+
+def _candidates(cgs, variables, reach):
+    """Memoryless tuples over variables: every choice of an action at each
+    state of reach, and the first action at the other states, in the order
+    of variables, states and actions.  Two of them differ at a reachable
+    state, so on a history from the initial state, which is how
+    distinctness_apt tells tuples apart."""
+    rest = dict.fromkeys(cgs.states, cgs.actions[0])
+    n = len(reach)
+    for acts in product(cgs.actions, repeat=n * len(variables)):
+        yield {
+            x: memoryless(cgs, {**rest, **dict(zip(reach, acts[i * n:(i + 1) * n]))})
+            for i, x in enumerate(variables)
+        }
+
+
+def _search_witnesses(level, a, names, ctx, assignment):
+    """Decide <<x>>^>=g phi by memoryless witnesses; None leaves it to the
+    g-copy block.  a is phi's automaton over names.
+
+    Each candidate tuple is verified by membership of its encoding tree, so
+    g verified ones prove the part true.  With one action every strategy
+    behaves as the one candidate, so a search that runs out decides it
+    false.  The search runs only when candidates x encoding-tree nodes x
+    phi's states is within the budget.
+    """
+    variables, grade = level
+    cgs, g = ctx.cgs, grade.value
+    record = {"grade": g, "tried": 0, "witnesses": [], "outcome": "fell back"}
+    ctx.searches.append(record)
+    outer = {x: assignment[x] for x in names - set(variables)}
+    reach = _reachable(cgs)
+    # a memoryless candidate adds no memory, so every candidate's tree has
+    # as many nodes as the outer assignment's
+    size = len(encoding_tree(cgs, outer).letters) * a.n_states
+    for _ in range(len(reach) * len(variables)):
+        if size > ctx.budget:
+            break
+        size *= len(cgs.actions)
+    if size > ctx.budget:
+        record["outcome"] = "skipped (over the budget)"
+        return None
+    for cand in _candidates(cgs, variables, reach):
+        record["tried"] += 1
+        if _accepts(a, names, ctx, {**outer, **cand}):
+            record["witnesses"].append(cand)
+            if len(record["witnesses"]) == g:
+                record["outcome"] = "decided"
+                return True
+    if len(cgs.actions) == 1:
+        record["outcome"] = "decided"
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +368,7 @@ def _bind(f, ctx):
 # quantifier blocks
 
 
-def _block(block, body, ctx):
+def _block(block, body, ctx, compiled=None):
     """Eliminate a maximal existential quantifier prefix in one shot.
 
     block is a list of (vars, grade).  The body is expanded innermost
@@ -269,11 +379,12 @@ def _block(block, body, ctx):
     resulting NPT.  The projection is not simplified here: an enclosing
     block simplifies each level it builds on it.  A universal block
     [[x]]^<g body is !<<x>>^>=g !body, so it reaches here under the
-    negation above it.
+    negation above it.  compiled is the body's (automaton, names read)
+    when the caller has compiled it already.
     """
     ctx._depth += 1
     try:
-        a, names = _compile(body, ctx)
+        a, names = compiled or _compile(body, ctx)
         # stop before the first rename when a level would read an alphabet
         # over the budget: a level of grade g over vars reads the names left
         # free by it and the levels inside, and g copies of vars and of the

@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import settings
 
+from gslmc import compiler
 from gslmc import formula as fm
 from gslmc.cgs import Cgs
 
@@ -31,6 +32,13 @@ def unpooled():
     """A context in which the compiler takes one quantifier per block: the
     per-quantifier reference that the pooled blocks are checked against."""
     return mock.patch.object(fm, "strip_exists_block", lambda f: ([(f.vars, f.grade)], f.sub))
+
+
+def no_witnesses():
+    """A context in which the witness search decides no top-level block:
+    every graded part goes on to its g-copy block, the reference that the
+    searched verdicts are checked against."""
+    return mock.patch.object(compiler, "_search_witnesses", lambda *args: None)
 
 
 @pytest.fixture

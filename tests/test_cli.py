@@ -17,7 +17,7 @@ from gslmc import automata, cli, compiler
 from gslmc import formula as fm
 from gslmc.cli import main
 
-from conftest import unpooled, TOGGLE, SINGLE_ACTION
+from conftest import no_witnesses, unpooled, TOGGLE, SINGLE_ACTION
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "examples_data")
@@ -327,7 +327,8 @@ class TestHugeGrades:
 
     # with one action the alphabet stays small, so only the width of the edge
     # relations (grade 100) and the size of the g-copy level (grade 100000)
-    # stop the check
+    # stop the check.  The vacuous binding keeps the block from the top
+    # level, so the witness search does not decide it first.
     @pytest.mark.parametrize("grade, err", [
         ("100", "edge relations exceed the budget (100000)"),
         ("100000", "a level of grade 100000 would have 5000150001 states,"
@@ -336,9 +337,24 @@ class TestHugeGrades:
     def test_huge_grade_on_one_action_stops_on_the_budget(self, capsys, grade, err):
         model = os.path.join(DATA, "single.json")
         started = time.perf_counter()
-        code, out, got = run(capsys, "check", model, "-f", f"<<x>>^>={grade} (a0,x)(a1,x) X p")
+        code, out, got = run(capsys, "check", model, "-f",
+                             f"(a0,z) <<x>>^>={grade} (a0,x)(a1,x) X p")
         assert time.perf_counter() - started < 10
         assert (code, out, got) == (4, "", f"error: {err}\n")
+
+    # at the top level, one action leaves one candidate, which stands for
+    # every strategy: a search that runs out decides the block false
+    @pytest.mark.parametrize("grade", ["100", "300", "446", "100000"])
+    def test_huge_grade_on_one_action_fails_by_the_witness_search(self, capsys, grade):
+        model = os.path.join(DATA, "single.json")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "check", model, "-f",
+                             f"<<x>>^>={grade} (a0,x)(a1,x) X p", "--stats")
+        assert time.perf_counter() - started < 10
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-2:] == [
+            f"witness search: grade={grade} tried=1 verified=1 decided", "FAILS",
+        ]
 
     def test_huge_memory_bound_stops_on_the_budget(self):
         # the strategy count (M * |actions|) ** (M * |states|) is never
@@ -413,9 +429,10 @@ class TestReachableErrors:
 
 class TestStatsAndStages:
     def test_stats_lines_present(self, capsys, toggle_path):
-        code, out, _ = run(
-            capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p", "--stats"
-        )
+        with no_witnesses():
+            code, out, _ = run(
+                capsys, "check", toggle_path, "-f", "<<x>> (a0,x) X p", "--stats"
+            )
         assert code == 0
         assert "quantifier-rank: 1" in out
         assert "quantifier-block-rank: 1" in out
@@ -423,15 +440,16 @@ class TestStatsAndStages:
 
     def test_emit_stage_writes_automata_dumps(self, capsys, toggle_path, tmp_path):
         d = tmp_path / "stages"
-        code, _, _ = run(
-            capsys,
-            "check",
-            toggle_path,
-            "-f",
-            "<<x>>^>=2 (a0,x) X p",
-            "--emit-stage",
-            str(d),
-        )
+        with no_witnesses():
+            code, _, _ = run(
+                capsys,
+                "check",
+                toggle_path,
+                "-f",
+                "<<x>>^>=2 (a0,x) X p",
+                "--emit-stage",
+                str(d),
+            )
         assert code == 0
         files = sorted(os.listdir(d))
         assert "stage01_apt.txt" in files and "stage01_npt.txt" in files
@@ -445,13 +463,15 @@ class TestStatsAndStages:
         assert out1 == out2
 
     def test_stats_on_a_budget_stop_report_the_finished_stages(self, capsys):
-        # the F-goal desk3 unique-NE check stops on work in its fourth stage;
-        # the stop and the stages before it are part of the pinned output
+        # without the witness search, the F-goal desk3 unique-NE check stops
+        # on work in its fourth stage; the stop and the stages before it are
+        # part of the pinned output
         model = os.path.join(DATA, "desk3.json")
         code, sentence, _ = run(capsys, "gen", "unique-ne", model,
                                 "--objectives", os.path.join(DATA, "desk3_obj.json"))
         assert code == 0
-        code, out, err = run(capsys, "check", model, "-f", sentence.strip(), "--stats")
+        with no_witnesses():
+            code, out, err = run(capsys, "check", model, "-f", sentence.strip(), "--stats")
         assert code == 4
         assert out.splitlines() == [
             "quantifier-rank: 3",
@@ -468,13 +488,34 @@ class TestStatsAndStages:
         # the "at least two" part's inner block repeats the first stage
         model, sentence = gen_sentence(capsys, "unique-ne", "desk3_obj")
         d = tmp_path / "stages"
-        code, out, _ = run(capsys, "check", model, "-f", sentence, "--emit-stage", str(d))
+        with no_witnesses():
+            code, out, _ = run(capsys, "check", model, "-f", sentence, "--emit-stage", str(d))
         assert code == 4 and not out
         assert sorted(os.listdir(d)) == [
             f"stage{i:02d}_{kind}.txt" for i in (1, 2, 3) for kind in ("apt", "npt")
         ]
         for kind in ("apt", "npt"):
             assert (d / f"stage03_{kind}.txt").read_bytes() == (d / f"stage01_{kind}.txt").read_bytes()
+
+    # two of toggle's four memoryless strategies play a at s0 and reach p
+    # next; a third witness needs the g-copy block, and below
+    # 4 candidates x 2 nodes x 2 states the search is skipped
+    @pytest.mark.parametrize("grade, budget, lines", [
+        ("2", "100000", ["nondeterminization-stages: 0",
+                         "witness search: grade=2 tried=2 verified=2 decided"]),
+        ("3", "100000", ["nondeterminization-stages: 1",
+                         "stage 1: nondeterminize depth=1 copies=3 in=5 out=17",
+                         "witness search: grade=3 tried=4 verified=2 fell back"]),
+        ("2", "12", ["nondeterminization-stages: 1",
+                     "stage 1: nondeterminize depth=1 copies=2 in=3 out=5",
+                     "witness search: grade=2 tried=0 verified=0 skipped (over the budget)"]),
+    ])
+    def test_stats_report_each_witness_search(self, capsys, toggle_path, grade, budget, lines):
+        code, out, _ = run(capsys, "check", toggle_path, "-f", f"<<x>>^>={grade} (a0,x) X p",
+                           "--budget", budget, "--stats")
+        assert code == 0 and out.splitlines() == [
+            "quantifier-rank: 1", "quantifier-block-rank: 1", *lines, "HOLDS",
+        ]
 
     def test_a_short_circuit_skips_the_part_it_does_not_need(self, capsys, toggle_path):
         # !p holds at the initial state, so the quantified part is never
@@ -489,13 +530,15 @@ class TestStatsAndStages:
         ]
 
     def test_stats_on_a_choice_stop_report_the_finished_stages(self, capsys):
-        # the F-goal desk3 unique-SPE check stops on the choice count in its
-        # third stage, before its work reaches the budget
+        # without the witness search, the F-goal desk3 unique-SPE check stops
+        # on the choice count in its third stage, before its work reaches the
+        # budget
         model = os.path.join(DATA, "desk3.json")
         code, sentence, _ = run(capsys, "gen", "unique-spe", model,
                                 "--objectives", os.path.join(DATA, "desk3_obj.json"))
         assert code == 0
-        code, out, err = run(capsys, "check", model, "-f", sentence.strip(), "--stats")
+        with no_witnesses():
+            code, out, err = run(capsys, "check", model, "-f", sentence.strip(), "--stats")
         assert code == 4
         assert out.splitlines()[-2:] == [
             "stage 1: nondeterminize depth=3 copies=2 in=5 out=8",
@@ -638,22 +681,22 @@ class TestInfo:
 # (objectives file, kind) -> (exit code, stage lines of --stats, verdict or
 # stop message).  A uniqueness or counting sentence is "at least g and not
 # at least g + 1"; when its first part fails, the second is never compiled.
-# The single unique-SPE check is left out: it stops on the budget only after
-# about a minute and a gigabyte.
+# Where memoryless witnesses decide both parts, the second part lists the
+# stages of the body it shares with the first, and no g-copy block is built.
 GEN_SENTENCES = {
-    ("desk3_obj", "unique-ne"): (4, 3, "error: determinization work exceeds the budget (100000)"),
-    ("desk3_obj", "unique-spe"):
-        (4, 2, "error: transition choice combinations exceed the budget (100000)"),
+    ("desk3_obj", "unique-ne"): (1, 2, "FAILS"),
+    ("desk3_obj", "unique-spe"): (1, 4, "FAILS"),
     ("desk3_obj", "winning-count"): (1, 2, "FAILS"),
-    ("desk3_next_obj", "unique-ne"): (1, 4, "FAILS"),
-    ("desk3_next_obj", "unique-spe"):
-        (4, 2, "error: determinization work exceeds the budget (100000)"),
+    ("desk3_next_obj", "unique-ne"): (1, 2, "FAILS"),
+    ("desk3_next_obj", "unique-spe"): (1, 4, "FAILS"),
     ("desk3_next_obj", "winning-count"): (1, 2, "FAILS"),
     ("pennies_obj", "unique-ne"): (1, 2, "FAILS"),
     ("pennies_obj", "unique-spe"): (4, 2, "error: determinization work exceeds the budget (100000)"),
     ("pennies_obj", "winning-count"): (1, 2, "FAILS"),
-    ("single_obj", "unique-ne"): (0, 4, "HOLDS"),
-    ("single_obj", "winning-count"): (1, 2, "FAILS"),
+    ("single_obj", "unique-ne"): (0, 2, "HOLDS"),
+    # HOLDS is exact: with one action the oracle's memoryless strategies are all
+    ("single_obj", "unique-spe"): (0, 4, "HOLDS"),
+    ("single_obj", "winning-count"): (1, 1, "FAILS"),
 }
 
 

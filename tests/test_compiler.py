@@ -16,14 +16,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gslmc import compiler
 from gslmc import formula as fm
 from gslmc.cgs import load_cgs, FiniteStrategy
 from gslmc.automata import is_npt
 from gslmc.compiler import check_sentence, check_assignment
 from gslmc.errors import ModelError, ResourceBudgetError, UnsupportedGradeError
-from gslmc.oracle import oracle_check, EXACT
+from gslmc.oracle import enumerate_strategies, oracle_check, EXACT
+from gslmc.solutions import load_objectives, ne_formula_general, uniqueness_formula
 
-from conftest import make_cgs, unpooled, TOGGLE, SINGLE_ACTION
+from conftest import make_cgs, no_witnesses, unpooled, TOGGLE, SINGLE_ACTION
+from test_determinize import ring_model
 
 
 def parse(text, agents):
@@ -107,6 +110,13 @@ class TestAssignmentChecking:
 
 
 class TestModesAndStages:
+    # the stages pinned here are the g-copy blocks', which the witness
+    # search would mostly skip
+    @pytest.fixture(autouse=True)
+    def _no_witnesses(self):
+        with no_witnesses():
+            yield
+
     def test_block_and_single_modes_agree(self, toggle):
         # each sentence pools two quantifiers into one block, so the
         # per-quantifier reference finishes one stage more
@@ -269,9 +279,10 @@ def check_property(prop, cases):
 
 def test_block_and_single_modes_agree_and_pool():
     def prop(g, f):
-        block = check_within_budget(g, f)
-        with unpooled():
-            single = check_within_budget(g, f)
+        with no_witnesses():
+            block = check_within_budget(g, f)
+            with unpooled():
+                single = check_within_budget(g, f)
         if block is None or single is None:
             return False
         assert block[0] == single[0]
@@ -349,3 +360,102 @@ def test_grades_are_monotone():
         return True
 
     check_property(prop, graded_bodies(FIXTURES))
+
+
+# ---------------------------------------------------------------------------
+# the witness search on top-level graded blocks
+
+
+def test_witness_search_agrees_with_the_g_copy_block():
+    outcomes = []
+
+    def prop(g, f):
+        searched = check_within_budget(g, f)
+        with no_witnesses():
+            built = check_within_budget(g, f)
+        if searched is None or built is None:
+            return False
+        assert searched[0] == built[0]
+        outcomes.extend(r["outcome"] for r in searched[1].searches)
+        return True
+
+    check_property(prop, sentences(FIXTURES))
+    assert {"decided", "fell back"} <= set(outcomes)
+
+
+def test_candidates_are_the_memoryless_strategies():
+    # every candidate satisfies `true`, so a search for more witnesses than
+    # there are tries them all: one per memoryless behaviour on the
+    # histories from the initial state, whose count is below
+    # |actions| ** |states| where a random structure leaves a state
+    # unreachable
+    models = [make_cgs(random.Random(seed), 4, 1, 2) for seed in range(6)]
+    models += [load_example("desk3"), load_example("toggle")]
+    counts = []
+    for g in models:
+        with pytest.raises(ResourceBudgetError) as stop:
+            check_sentence(parse("<<x>>^>=100000 true", g.agents), g)
+        counts.append(len(enumerate_strategies(g, 1, 10**6, g.initial)))
+        assert stop.value.context.searches[0]["tried"] == counts[-1]
+    assert any(n < 2 ** len(g.states) for n, g in zip(counts, models))
+
+
+@pytest.mark.parametrize("model, objectives", [
+    ("desk3", "desk3_obj"), ("desk3", "desk3_next_obj"), ("single", "single_obj"),
+])
+def test_unique_ne_witnesses_pass_the_oracle(model, objectives):
+    g = load_example(model)
+    with open(os.path.join(DATA, f"{objectives}.json")) as fh:
+        objs = load_objectives(json.load(fh), g)
+    xvars = [f"x{i + 1}" for i in range(len(g.agents))]
+    yvars = [f"y{i + 1}" for i in range(len(g.agents))]
+    body = ne_formula_general(list(g.agents), xvars, yvars, objs)
+    _, ctx = check_sentence(uniqueness_formula(xvars, body), g)
+    witnesses = [w for r in ctx.searches for w in r["witnesses"]]
+    assert witnesses
+    for w in witnesses:
+        assert oracle_check(g, body, assignment=w).verdict is True
+
+
+def test_equal_bodies_compile_once():
+    # both parts of a uniqueness sentence read the same body: the second
+    # lists the first's stages again without building them
+    g = load_example("desk3")
+    with open(os.path.join(DATA, "desk3_next_obj.json")) as fh:
+        objs = load_objectives(json.load(fh), g)
+    body = ne_formula_general(list(g.agents), ["x1", "x2"], ["y1", "y2"], objs)
+    with no_witnesses():
+        holds, ctx = check_sentence(uniqueness_formula(["x1", "x2"], body), g)
+    assert holds is False and len(ctx.stages) == 4
+    assert ctx.stages[2] is ctx.stages[0]
+
+
+def test_the_two_agent_ring_builds_no_candidate(monkeypatch):
+    # 2 ** 13 candidates x 13 nodes is over the budget before phi's states
+    g = load_cgs(ring_model(13, ("a0", "a1")))
+    built = []
+    monkeypatch.setattr(compiler, "memoryless", lambda *args: built.append(args))
+    holds, ctx = check_sentence(parse("<<x>>^>=1 [[y]]^<1 (a0,x) (a1,y) F p", g.agents), g)
+    assert holds is False and not built
+    assert ctx.searches == [
+        {"grade": 1, "tried": 0, "witnesses": [], "outcome": "skipped (over the budget)"},
+    ]
+
+
+def test_witness_search_under_an_assignment_with_memory():
+    # the candidates' trees follow a two-state machine for the free z
+    rng = random.Random(5)
+    outcomes = []
+    for _ in range(10):
+        g = make_cgs(rng, 3, 2, 2)
+        cells = [(m, q) for m in (0, 1) for q in g.states]
+        z = FiniteStrategy((0, 1), 0, {c: rng.choice((0, 1)) for c in cells},
+                           {c: rng.choice(g.actions) for c in cells})
+        for text in ["<<y>>^>={} (a0,z)(a1,y) F p", "<<y>>^>={} (a0,y)(a1,z) G !p"]:
+            for k in (1, 2):
+                f = parse(text.format(k), g.agents)
+                searched, ctx = check_assignment(f, g, {"z": z})
+                with no_witnesses():
+                    assert check_assignment(f, g, {"z": z})[0] == searched, (text, k)
+                outcomes.extend(r["outcome"] for r in ctx.searches)
+    assert {"decided", "fell back"} <= set(outcomes)

@@ -36,6 +36,7 @@ from gslmc.determinize import (
     slots,
 )
 from gslmc.errors import ResourceBudgetError
+from conftest import no_witnesses
 from test_automata import random_apt, random_tree
 
 # ---------------------------------------------------------------------------
@@ -685,6 +686,13 @@ def assert_npt_stages(game, sentence, verdict, n_stages):
 
 
 class TestGoldenStages:
+    # the pinned stages are the g-copy blocks', which memoryless witnesses
+    # would decide before they are built
+    @pytest.fixture(autouse=True)
+    def _no_witnesses(self):
+        with no_witnesses():
+            yield
+
     @pytest.mark.parametrize("model,objectives", sorted(GOLDEN_STAGES))
     def test_stage_dumps_match(self, model, objectives):
         verdict, digests = GOLDEN_STAGES[(model, objectives)]
@@ -715,10 +723,16 @@ class TestGoldenStages:
 
     def test_stage_dumps_match_under_another_hash_seed(self):
         seed = "2" if os.environ.get("PYTHONHASHSEED") != "2" else "5"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(ROOT, "src"))
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(os.path.join(ROOT, d) for d in ("src", "tests")))
+
+        # the command line under the same patch as in this process
+        main = ("import sys; from conftest import no_witnesses; from gslmc.cli import main\n"
+                "with no_witnesses(): code = main(sys.argv[1:])\n"
+                "sys.exit(code)")
 
         def run(*argv):
-            done = subprocess.run([sys.executable, "-m", "gslmc.cli", *argv],
+            done = subprocess.run([sys.executable, "-c", main, *argv],
                                   capture_output=True, text=True, env=env, timeout=300)
             return done.returncode, done.stdout
 
