@@ -226,11 +226,18 @@ class RegularTree:
 def membership_game(a, tree):
     """Acceptance game: Verifier wins from the initial position iff a accepts.
 
-    Positions are (generator node, state) pairs expanded through the
-    transition formula's structure; Verifier owns disjunctions, Refuter
-    conjunctions, and an atom (d, q) is the position of q at the d-child.
-    Returns (game, index of the initial position).  The tree must be total
-    over a's directions and labeled from a's alphabet, as every
+    A state position is a (tree node, state) pair: Verifier owns it, with
+    the state's priority, and moves to the position of the state's
+    transition on the node's letter.  A formula position is a (child row,
+    formula) pair, a node's child row being the tuple of its children in
+    a.directions order: Verifier owns disjunctions, Refuter conjunctions,
+    and an atom (d, q) is the state position of q at the row's d-child.  A
+    formula position's owner, priority and successors depend only on the
+    formula and the children, so the nodes of one child row share it.  A
+    sentence's unwinding, and the encoding tree of a memoryless candidate,
+    has one child row, so each transition formula is expanded once per
+    game.  Returns (game, index of the initial position).  The tree must be
+    total over a's directions and labeled from a's alphabet, as every
     encoding_tree is.
     """
     build = _GameBuilder(a, tree)
@@ -238,7 +245,8 @@ def membership_game(a, tree):
     start = build.state_pos(tree.root, a.initial)
     while build.queue:
         node, q, idx = build.queue.popleft()
-        build.succs[idx].append(build.formula_pos(node, a.trans[q][at[tree.letter(node)]]))
+        f = a.trans[q][at[tree.letter(node)]]
+        build.succs[idx].append(build.formula_pos(build.row(node), f))
     return ParityGame(build.owners, build.prios, build.succs), start
 
 
@@ -253,41 +261,56 @@ class _GameBuilder:
         self.a = a
         self.tree = tree
         self.neutral = max(a.priority) + 2
-        self.positions = {}
+        self.states = {}  # (node, state) -> its position
+        self.formulas = {}  # (row id, formula) -> its position
+        self.node_rows = {}  # node -> the id of its child row
+        self.row_ids = {}  # child row -> its id
+        self.rows = []  # row id -> {direction: child}
         self.owners = []
         self.prios = []
         self.succs = []
         self.queue = deque()  # state positions whose transition is still unexpanded
 
-    def add(self, key, owner, prio):
-        idx = self.positions[key] = len(self.owners)
+    def add(self, owner, prio):
         self.owners.append(owner)
         self.prios.append(prio)
         self.succs.append([])
-        return idx
+        return len(self.owners) - 1
+
+    def row(self, node):
+        """The id of node's child row, interned on the first call."""
+        rid = self.node_rows.get(node)
+        if rid is None:
+            kids = tuple([self.tree.child(node, d) for d in self.a.directions])
+            rid = self.row_ids.get(kids)
+            if rid is None:
+                rid = self.row_ids[kids] = len(self.rows)
+                self.rows.append(dict(zip(self.a.directions, kids)))
+            self.node_rows[node] = rid
+        return rid
 
     def state_pos(self, node, q):
-        idx = self.positions.get(("q", node, q))
+        idx = self.states.get((node, q))
         if idx is None:
-            idx = self.add(("q", node, q), VERIFIER, self.a.priority[q])
+            idx = self.states[(node, q)] = self.add(VERIFIER, self.a.priority[q])
             self.queue.append((node, q, idx))
         return idx
 
-    def formula_pos(self, node, f):
+    def formula_pos(self, rid, f):
         if f[0] == "a":  # an atom moves straight to its state position
             d, q2 = f[1]
-            return self.state_pos(self.tree.child(node, d), q2)
-        key = ("f", node, f)
-        idx = self.positions.get(key)
+            return self.state_pos(self.rows[rid][d], q2)
+        idx = self.formulas.get((rid, f))
         if idx is not None:
             return idx
         if f == pb.TRUE or f == pb.FALSE:
             # a self-loop: even priority, Verifier wins; odd, Verifier loses
-            idx = self.add(key, VERIFIER, 0 if f == pb.TRUE else 1)
+            idx = self.formulas[(rid, f)] = self.add(VERIFIER, 0 if f == pb.TRUE else 1)
             self.succs[idx].append(idx)
         else:
-            idx = self.add(key, VERIFIER if f[0] == "|" else 1 - VERIFIER, self.neutral)
-            self.succs[idx].extend([self.formula_pos(node, k) for k in f[1]])
+            idx = self.formulas[(rid, f)] = self.add(
+                VERIFIER if f[0] == "|" else 1 - VERIFIER, self.neutral)
+            self.succs[idx].extend([self.formula_pos(rid, k) for k in f[1]])
         return idx
 
 
@@ -355,18 +378,21 @@ def assignment_alphabet(cgs, names):
 
 
 def simplify(a, budget):
-    """Drop unreachable states, merge transition-identical states, compress
-    priorities.  Language-preserving.
+    """Drop unreachable states, compress priorities, merge states of equal
+    priority and transitions until none merge.  Language-preserving.
 
-    In the result, equal transition formulas are one shared object.
+    Priorities are compressed before the merges, so states whose priorities
+    compress to one value can merge; a merge keeps every priority value, so
+    the result is compressed, and simplifying it again changes nothing.  In
+    the result, equal transition formulas are one shared object.
     """
     a = _restrict_reachable(a)
+    a = Apt(a.alphabet, a.directions, a.initial, a.trans, compress_priorities(a.priority))
     while True:
         merged = _merge_equivalent(a)
         if merged.n_states == a.n_states:
             break
         a = merged
-    a = compress_priorities(a)
     if a.n_states > budget:
         raise ResourceBudgetError(f"automaton exceeds state budget ({a.n_states})")
     one = {}
@@ -414,16 +440,17 @@ def _renumber(a, rep):
     return Apt(a.alphabet, a.directions, full[a.initial], trans, priority)
 
 
-def compress_priorities(a):
-    used = sorted(set(a.priority))
+def compress_priorities(priority):
+    """The priorities renumbered from 0 or 1 up without gaps, keeping their
+    order and parity; language-preserving in a min-parity automaton."""
+    used = sorted(set(priority))
     out = {}
     cur = used[0] % 2
     out[used[0]] = cur
     for prev, nxt in zip(used, used[1:]):
         cur = cur + (0 if (nxt - prev) % 2 == 0 else 1)
         out[nxt] = cur
-    priority = tuple([out[p] for p in a.priority])
-    return Apt(a.alphabet, a.directions, a.initial, a.trans, priority)
+    return tuple([out[p] for p in priority])
 
 
 # ---------------------------------------------------------------------------

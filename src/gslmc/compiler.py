@@ -182,10 +182,15 @@ def _graded(block, body, ctx, assignment):
         compiled = compile_formula(body, ctx)
         ctx._depth -= 1
         ctx._bodies[key] = (compiled, ctx.stages[first:])
-    verdict = _search_witnesses(block[0], *compiled, ctx, assignment)
+    # the g-copy block reads the names the body reads but the block's
+    # variables, so its membership test and the witness search's size gate
+    # share this tree
+    outer = {x: assignment[x] for x in compiled[1] - set(block[0][0])}
+    tree = encoding_tree(ctx.cgs, outer)
+    verdict = _search_witnesses(block[0], *compiled, ctx, outer, len(tree.letters))
     if verdict is not None:
         return verdict
-    return _accepts(*_block(block, body, ctx, compiled), ctx, assignment)
+    return member(_block(block, body, ctx, compiled)[0], tree)
 
 
 def _reachable(cgs):
@@ -215,9 +220,11 @@ def _candidates(cgs, variables, reach):
         }
 
 
-def _search_witnesses(level, a, names, ctx, assignment):
+def _search_witnesses(level, a, names, ctx, outer, n_nodes):
     """Decide <<x>>^>=g phi by memoryless witnesses; None leaves it to the
-    g-copy block.  a is phi's automaton over names.
+    g-copy block.  a is phi's automaton over names, outer the assignment
+    to the names but the block's variables, and n_nodes the node count of
+    its encoding tree.
 
     Each candidate tuple is verified by membership of its encoding tree, so
     g verified ones prove the part true.  With one action every strategy
@@ -229,11 +236,10 @@ def _search_witnesses(level, a, names, ctx, assignment):
     cgs, g = ctx.cgs, grade.value
     record = {"grade": g, "tried": 0, "witnesses": [], "outcome": "fell back"}
     ctx.searches.append(record)
-    outer = {x: assignment[x] for x in names - set(variables)}
     reach = _reachable(cgs)
     # a memoryless candidate adds no memory, so every candidate's tree has
     # as many nodes as the outer assignment's
-    size = len(encoding_tree(cgs, outer).letters) * a.n_states
+    size = n_nodes * a.n_states
     for _ in range(len(reach) * len(variables)):
         if size > ctx.budget:
             break

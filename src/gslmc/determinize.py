@@ -592,16 +592,17 @@ class _Build:
         """The output automaton, simplified as automata.simplify would
         simplify it, from the rows of target-set ids in `trans`.
 
-        Every state is reachable.  States whose (priority, row) are equal
-        merge into the first of them, and the states are renumbered
-        ascending, until nothing merges; then the priorities are
-        compressed.  A formula is a canonical function of its target set
+        Every state is reachable.  The priorities are compressed; then
+        states whose (priority, row) are equal merge into the first of
+        them, and the states are renumbered ascending, until nothing
+        merges.  A formula is a canonical function of its target set
         (set_formula), so equal formulas are equal target sets, and renaming
         the atoms of a formula and normalizing it is renaming the states of
         its target set, deduplicating and sorting.  Only the final target
         sets are built into formulas.
         """
         trans = self.trans
+        priority = compress_priorities(priority)
         while True:
             new = {}  # (priority, row) -> the state number of its first state
             number = [new.setdefault(key, len(new)) for key in zip(priority, trans)]
@@ -615,8 +616,7 @@ class _Build:
             priority = [p for p, _ in new]
             initial = number[initial]
         trans = [tuple([self.set_formula(s) for s in row]) for row in trans]
-        return compress_priorities(
-            Apt(self.a.alphabet, self.a.directions, initial, trans, tuple(priority)))
+        return Apt(self.a.alphabet, self.a.directions, initial, trans, tuple(priority))
 
 
 def _columns(models):

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -21,9 +23,16 @@ from gslmc.automata import (
     relabel,
     simplify,
 )
-from gslmc.cgs import load_cgs
-from gslmc.determinize import DEFAULT_BUDGET
+from gslmc import formula as fm
+from gslmc.cgs import load_cgs, memoryless
+from gslmc.compiler import CompilationContext, compile_formula
+from gslmc.determinize import DEFAULT_BUDGET, nondeterminize
+from gslmc.paritygame import solve_zielonka
 from conftest import TOGGLE
+from game_oracle import reference_membership_game
+
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples_data")
 
 
 def random_posbool(rng, dirs, nq, depth=2):
@@ -53,6 +62,16 @@ def random_tree(rng, alpha, dirs, max_nodes=3):
     n = rng.randint(1, max_nodes)
     letters = {i: rng.choice(alpha) for i in range(n)}
     children = {(i, d): rng.randrange(n) for i in range(n) for d in dirs}
+    return RegularTree(letters, children, 0)
+
+
+def one_row_tree(rng, alpha, dirs, max_nodes=4):
+    """A random tree whose nodes all have the same children, as the nodes of
+    a sentence's unwinding do."""
+    n = rng.randint(1, max_nodes)
+    letters = {i: rng.choice(alpha) for i in range(n)}
+    row = {d: rng.randrange(n) for d in dirs}
+    children = {(i, d): row[d] for i in range(n) for d in dirs}
     return RegularTree(letters, children, 0)
 
 
@@ -127,6 +146,19 @@ class TestSimplify:
             for _ in range(10):
                 t = random_tree(rng, a.alphabet, a.directions)
                 assert member(a, t) == member(s, t)
+
+    def test_a_second_simplify_changes_nothing(self):
+        # priorities are compressed before the merges, so states whose
+        # priorities compress to one value merge in the first pass, on
+        # random automata and on alternation removal's output alike
+        rng = random.Random(7)
+        for _ in range(80):
+            a = simplify(random_apt(rng, max_states=4, max_pr=rng.choice([2, 3, 4]),
+                                    alpha=(0, 1, 2), dirs=rng.choice([(0,), (0, 1)])),
+                         DEFAULT_BUDGET)
+            assert simplify(a, DEFAULT_BUDGET) == a
+            out = nondeterminize(a)
+            assert simplify(out, DEFAULT_BUDGET).n_states == out.n_states
 
 
 class TestDistinctness:
@@ -269,6 +301,64 @@ class TestMembershipGame:
             gc.enable()
         # a lone atom looping at the root is a one-vertex game, but not all are
         assert max(sizes) > 1
+
+    def test_agrees_with_the_node_keyed_reference(self, rng):
+        # sharing formula positions per child row merges identical vertices
+        # only: the winner at the start is the reference's, and the game is
+        # never larger
+        alpha = (0, 1, 2)
+        smaller = 0
+        for _ in range(400):
+            dirs = tuple(range(rng.randint(1, 3)))
+            a = random_apt(rng, max_states=5, alpha=alpha, dirs=dirs)
+            for tree in (random_tree(rng, alpha, dirs, max_nodes=4),
+                         one_row_tree(rng, alpha, dirs)):
+                game, start = membership_game(a, tree)
+                ref, ref_start = reference_membership_game(a, tree)
+                assert game.n <= ref.n
+                assert solve_zielonka(game)[0][start] == solve_zielonka(ref)[0][ref_start]
+                smaller += game.n < ref.n
+        assert smaller > 0
+
+    @pytest.mark.parametrize("model,text,strategies", [
+        ("toggle.json", "<<x>>^>=2 (a0,x) F p", ()),
+        ("pennies.json", "<<x>> [[y]] (a0,x)(a1,y) G !p", ()),
+        ("desk3.json", "[[y]]^<2 (a0,x)(a1,y) X X p", ("x",)),
+    ])
+    def test_one_child_row_expands_each_formula_once(self, model, text, strategies):
+        # a sentence's unwinding, and a memoryless candidate's encoding tree,
+        # gives every node the same children: past its state positions, the
+        # game has at most one position per distinct formula reached
+        with open(os.path.join(DATA, model)) as fh:
+            cgs = load_cgs(json.load(fh))
+        a, names = compile_formula(fm.parse_formula(text, set(cgs.agents)),
+                                   CompilationContext(cgs))
+        assert names == set(strategies)
+        rng = random.Random(3)
+        tree = encoding_tree(cgs, {
+            x: memoryless(cgs, {q: rng.choice(cgs.actions) for q in cgs.states})
+            for x in strategies})
+        at = {letter: i for i, letter in enumerate(a.alphabet)}
+        states = {(tree.root, a.initial)}
+        frontier = list(states)
+        formulas = set()
+        while frontier:
+            node, q = frontier.pop()
+            walk = [a.trans[q][at[tree.letter(node)]]]
+            while walk:
+                f = walk.pop()
+                if f[0] == "a":
+                    pos = (tree.child(node, f[1][0]), f[1][1])
+                    if pos not in states:
+                        states.add(pos)
+                        frontier.append(pos)
+                else:
+                    formulas.add(f)
+                    if f[0] in "&|":
+                        walk.extend(f[1])
+        game, _ = membership_game(a, tree)
+        assert game.n - len(states) <= len(formulas)
+        assert reference_membership_game(a, tree)[0].n > game.n
 
 
 class TestUnwinding:
